@@ -94,7 +94,8 @@ guard: build
 # Prscale suite: the multilevel unit/property tests, then the scaling
 # experiment — exact and anneal expire a 2 s deadline on the seeded
 # 200-module huge design while the multilevel backend solves it
-# near-interactively, feasible and oracle-clean. See DESIGN.md §12.
+# near-interactively, feasible and oracle-clean, and the 50-400-module
+# size curve of the compatibility analysis and the solve. See DESIGN.md §12.
 multilevel: build
 	dune exec test/test_multilevel.exe
 	dune exec bench/main.exe -- multilevel

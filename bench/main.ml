@@ -632,6 +632,56 @@ let multilevel_huge_run () =
     mr_oracle_clean = oracle_clean;
     mr_stats = stats }
 
+(* Design-size curve of the multilevel path: at each size, the
+   compatibility analysis of the mode singletons (best of twenty calls:
+   it is sub-millisecond below 200 modules) and the unguarded engine
+   solve (best of three), so a stage that grows
+   faster than linear shows as a steepening curve and the [ms_per_run]
+   regression rule catches its return. *)
+let multilevel_curve_sizes = [ 50; 100; 200; 400 ]
+
+type ml_size = {
+  ms_modules : int;
+  ms_analyse_ms : float;
+  ms_solve_ms : float;
+  ms_total : int;
+}
+
+let best_ms reps f =
+  let best = ref infinity and result = ref None in
+  for _ = 1 to reps do
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    best := Float.min !best (1000. *. (Unix.gettimeofday () -. t0));
+    result := Some r
+  done;
+  (!best, Option.get !result)
+
+let multilevel_size_curve () =
+  List.map
+    (fun modules ->
+      let design = Synth.Generator.huge ~seed:huge_seed ~modules () in
+      let nodes = Array.of_list (Prcore.Multilevel.nodes design) in
+      let analyse_ms, _ =
+        best_ms 20 (fun () -> Prcore.Compatibility.analyse design nodes)
+      in
+      let target = Prcore.Engine.Budget (huge_budget design) in
+      let solve_ms, outcome =
+        best_ms 3 (fun () ->
+            Prcore.Engine.solve ~strategy:Prcore.Strategy.Multilevel ~target
+              design)
+      in
+      match outcome with
+      | Error m ->
+        Printf.printf "BENCH FAILED: multilevel %d-module solve: %s\n" modules m;
+        exit 1
+      | Ok o ->
+        { ms_modules = modules;
+          ms_analyse_ms = analyse_ms;
+          ms_solve_ms = solve_ms;
+          ms_total = o.Prcore.Engine.evaluation.Prcore.Cost.total_frames })
+    multilevel_curve_sizes
+
 (* Quality gap of the multilevel scheme against an eval-capped anneal
    on a small huge-class design — the largest size where the default
    pipeline's clustering front-end still terminates un-deadlined, so
@@ -705,6 +755,13 @@ let multilevel_experiment () =
      Printf.printf "refinement: %d -> %d frames (monotone: %b)\n" first final
        (final <= first)
    | _ -> ());
+  Printf.printf "\nsize curve (seed %d):\n%8s %12s %12s %10s\n" huge_seed
+    "modules" "analyse ms" "solve ms" "frames";
+  List.iter
+    (fun r ->
+      Printf.printf "%8d %12.2f %12.1f %10d\n" r.ms_modules r.ms_analyse_ms
+        r.ms_solve_ms r.ms_total)
+    (multilevel_size_curve ());
   (match multilevel_gap_vs_anneal () with
    | Some gap ->
      Printf.printf "gap vs eval-capped anneal (14 modules): %+.1f%%\n" gap
@@ -1574,6 +1631,7 @@ let bench_json () =
     exit 1
   end;
   let ml_gap = multilevel_gap_vs_anneal () in
+  let ml_curve = multilevel_size_curve () in
   (* Placement-aware flow vs post-hoc feedback: escalations avoided and
      the aware solve latency are regression-tracked. *)
   let fl = floorplan_run () in
@@ -1674,7 +1732,18 @@ let bench_json () =
                 ("refine_passes", Int ml.mr_stats.Prcore.Multilevel.passes);
                 ("refine_moves", Int ml.mr_stats.Prcore.Multilevel.moves);
                 ( "gap_vs_anneal_pct",
-                  match ml_gap with Some g -> Float g | None -> Null ) ] );
+                  match ml_gap with Some g -> Float g | None -> Null );
+                ( "sizes",
+                  Obj
+                    (List.map
+                       (fun r ->
+                         ( Printf.sprintf "m%d" r.ms_modules,
+                           Obj
+                             [ ("modules", Int r.ms_modules);
+                               ("analyse_ms_per_run", Float r.ms_analyse_ms);
+                               ("solve_ms_per_run", Float r.ms_solve_ms);
+                               ("total_frames", Int r.ms_total) ] ))
+                       ml_curve) ) ] );
           ( "floorplan",
             Obj
               [ ("design", String "fragmented-filter on XC5VLX30");
@@ -1760,6 +1829,13 @@ let bench_json () =
     (match ml_gap with
      | Some g -> Printf.sprintf ", gap vs anneal %+.1f%%" g
      | None -> "");
+  Printf.printf "multilevel size curve (analyse/solve ms): %s\n"
+    (String.concat ", "
+       (List.map
+          (fun r ->
+            Printf.sprintf "%d: %.2f/%.0f" r.ms_modules r.ms_analyse_ms
+              r.ms_solve_ms)
+          ml_curve));
   Printf.printf
     "floorplan: aware %s (%d escalations) vs unaware %s (%d), %.1f ms/run, \
      %d penalty evals\n"

@@ -8,34 +8,17 @@ type t = {
   covers : bool;
 }
 
-(* Greedy best-coverage resolution of one configuration: pick the
-   partition covering the most uncovered modes (earliest on ties), until
-   no partition covers anything new. *)
-let resolve partitions config_modes mark =
-  let uncovered = ref config_modes in
-  let continue_ = ref true in
-  while !continue_ && !uncovered <> [] do
-    let best = ref None in
-    Array.iteri
-      (fun p (bp : Base_partition.t) ->
-        let covered =
-          List.length (List.filter (fun m -> Base_partition.mem m bp) !uncovered)
-        in
-        match !best with
-        | Some (_, best_covered) when covered <= best_covered -> ()
-        | Some _ | None -> if covered > 0 then best := Some (p, covered))
-      partitions;
-    match !best with
-    | None -> continue_ := false
-    | Some (p, _) ->
-      mark p;
-      uncovered :=
-        List.filter
-          (fun m -> not (Base_partition.mem m partitions.(p)))
-          !uncovered
-  done;
-  !uncovered = []
+(* Greedy best-coverage resolution of every configuration: pick the
+   partition covering the most uncovered modes of the configuration
+   (earliest on ties), until no partition covers anything new.
 
+   [holders.(m)] lists the partitions holding mode [m], ascending, and is
+   built once per call. Within a configuration, [count.(p)] is the number
+   of still-uncovered configuration modes partition [p] holds; only the
+   partitions the configuration touches can have a non-zero count, so a
+   pick scans just those, and covering a mode decrements the count of
+   each of its holders. Configuration modes are distinct (one mode per
+   module) and so are partition modes, so the counts are exact. *)
 let analyse design partitions =
   let modes = Design.mode_count design in
   Array.iter
@@ -46,16 +29,68 @@ let analyse design partitions =
             invalid_arg "Compatibility.analyse: mode id out of range")
         bp.modes)
     partitions;
+  let np = Array.length partitions in
+  let holders = Array.make modes [] in
+  for p = np - 1 downto 0 do
+    List.iter
+      (fun m -> holders.(m) <- p :: holders.(m))
+      partitions.(p).Base_partition.modes
+  done;
   let configs = Design.configuration_count design in
-  let activity = Array.make_matrix (Array.length partitions) configs false in
+  let activity = Array.make_matrix np configs false in
+  let count = Array.make np 0 in
+  let touched = Array.make np 0 in
+  let uncovered = Array.make modes false in
   let covers = ref true in
   for c = 0 to configs - 1 do
-    let full =
-      resolve partitions
-        (Design.config_mode_ids design c)
-        (fun p -> activity.(p).(c) <- true)
-    in
-    if not full then covers := false
+    let config_modes = Design.config_mode_ids design c in
+    let ntouched = ref 0 in
+    List.iter
+      (fun m ->
+        uncovered.(m) <- true;
+        List.iter
+          (fun p ->
+            if count.(p) = 0 then begin
+              touched.(!ntouched) <- p;
+              incr ntouched
+            end;
+            count.(p) <- count.(p) + 1)
+          holders.(m))
+      config_modes;
+    let continue_ = ref true in
+    while !continue_ do
+      let best = ref (-1) in
+      for t = 0 to !ntouched - 1 do
+        let p = touched.(t) in
+        if
+          count.(p) > 0
+          && (!best < 0
+             || count.(p) > count.(!best)
+             || (count.(p) = count.(!best) && p < !best))
+        then best := p
+      done;
+      if !best < 0 then continue_ := false
+      else begin
+        activity.(!best).(c) <- true;
+        List.iter
+          (fun m ->
+            if uncovered.(m) then begin
+              uncovered.(m) <- false;
+              List.iter (fun q -> count.(q) <- count.(q) - 1) holders.(m)
+            end)
+          partitions.(!best).Base_partition.modes
+      end
+    done;
+    List.iter
+      (fun m ->
+        if uncovered.(m) then begin
+          covers := false;
+          uncovered.(m) <- false
+        end)
+      config_modes;
+    for t = 0 to !ntouched - 1 do
+      count.(touched.(t)) <- 0
+    done
   done;
   { design; partitions; activity; covers = !covers }
 

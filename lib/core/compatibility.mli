@@ -10,6 +10,12 @@
     single-region scheme, whose clusters are whole configurations) it
     selects the best-matching cluster.
 
+    Resolution is indexed: each mode maps to the partitions holding it,
+    and each partition keeps a count of the configuration's still-uncovered
+    modes it holds. One configuration costs the sum of its modes'
+    index-list lengths plus picks × touched partitions (those holding at
+    least one of its modes).
+
     Two base partitions are {e compatible} — may share a reconfigurable
     region — iff no configuration activates both (paper §IV-C; for
     disjoint partitions this coincides with the paper's mode-co-occurrence

@@ -212,6 +212,10 @@ let allocate_stats ?(options = default_options)
       let live_count () =
         Array.fold_left (fun acc c -> if c.alive then acc + 1 else acc) 0 cnodes
       in
+      (* Pair buffers, reused by every level and grown by doubling. *)
+      let pair_dtime = ref [||]
+      and pair_neg_gain = ref [||]
+      and pair_ij = ref [||] in
       let continue = ref true in
       while !continue do
         let nlive = live_count () in
@@ -238,8 +242,26 @@ let allocate_stats ?(options = default_options)
             && float_of_int merged.Resource.bram <= cap_bram
             && float_of_int merged.Resource.dsp <= cap_dsp
           in
-          (* Score every compatible, balance-admissible pair. *)
-          let pairs = ref [] in
+          (* Score every compatible, balance-admissible pair into flat
+             arrays, then visit them in (dtime, -gain, i, j) order. A
+             pair is stored as [i * n + j], which orders like (i, j). *)
+          let npairs = ref 0 in
+          let push dtime neg_gain pair =
+            if !npairs = Array.length !pair_dtime then begin
+              let grow a fill =
+                let b = Array.make (max 64 (2 * Array.length a)) fill in
+                Array.blit a 0 b 0 !npairs;
+                b
+              in
+              pair_dtime := grow !pair_dtime 0;
+              pair_neg_gain := grow !pair_neg_gain 0.;
+              pair_ij := grow !pair_ij 0
+            end;
+            !pair_dtime.(!npairs) <- dtime;
+            !pair_neg_gain.(!npairs) <- neg_gain;
+            !pair_ij.(!npairs) <- pair;
+            incr npairs
+          in
           for i = 0 to n - 1 do
             if cnodes.(i).alive then
               for j = i + 1 to n - 1 do
@@ -248,20 +270,31 @@ let allocate_stats ?(options = default_options)
                   && disjoint cnodes.(i).mask cnodes.(j).mask
                   && admissible cnodes.(i) cnodes.(j)
                 then
-                  pairs :=
-                    ( merge_dtime cnodes.(i) cnodes.(j),
-                      -.merge_area_gain cnodes.(i) cnodes.(j),
-                      i,
-                      j )
-                    :: !pairs
+                  push
+                    (merge_dtime cnodes.(i) cnodes.(j))
+                    (-.merge_area_gain cnodes.(i) cnodes.(j))
+                    ((i * n) + j)
               done
           done;
-          let pairs = List.sort compare !pairs in
+          let dtime = !pair_dtime
+          and neg_gain = !pair_neg_gain
+          and ij = !pair_ij in
+          let order = Array.init !npairs Fun.id in
+          Array.sort
+            (fun x y ->
+              match Int.compare dtime.(x) dtime.(y) with
+              | 0 -> (
+                match Float.compare neg_gain.(x) neg_gain.(y) with
+                | 0 -> Int.compare ij.(x) ij.(y)
+                | c -> c)
+              | c -> c)
+            order;
           let matched = Array.make n false in
           let applied = ref 0 in
           let to_merge = nlive - k in
-          List.iter
-            (fun (_, _, i, j) ->
+          Array.iter
+            (fun x ->
+              let i = ij.(x) / n and j = ij.(x) mod n in
               if !applied < to_merge && not matched.(i) && not matched.(j)
               then begin
                 matched.(i) <- true;
@@ -276,7 +309,7 @@ let allocate_stats ?(options = default_options)
                 b.alive <- false;
                 incr applied
               end)
-            pairs;
+            order;
           if !applied = 0 then continue := false
           else begin
             merges := !merges + !applied;

@@ -139,6 +139,22 @@ let compatibility_tests =
                 (Compatibility.active analysis ~bp:i ~config:c))
             clusters
         done);
+    Alcotest.test_case "ties go to the earliest partition" `Quick (fun () ->
+        (* conf2 = {A1, B1, C1}; each pair-cluster covers two of its
+           modes. The earliest takes the first pick, the next-earliest the
+           remaining mode, and the last cluster loses both ties. *)
+        let pair modes = Base_partition.make example ~modes ~freq:1 in
+        let ab = pair [ 0; 3 ] and bc = pair [ 3; 5 ] and ac = pair [ 0; 5 ] in
+        let active_lists order =
+          let analysis = Compatibility.analyse example (Array.of_list order) in
+          List.mapi (fun i _ -> Compatibility.active_configs analysis i) order
+        in
+        Alcotest.(check (list (list int))) "ab, bc, ac"
+          [ [ 1; 3 ]; [ 1; 2 ]; [] ]
+          (active_lists [ ab; bc; ac ]);
+        Alcotest.(check (list (list int))) "ac, bc, ab"
+          [ [ 1; 2; 3 ]; [ 1 ]; [] ]
+          (active_lists [ ac; bc; ab ]));
     Alcotest.test_case "covers_design false for partial lists" `Quick
       (fun () ->
         let arr = Array.of_list [ singleton 0; singleton 4 ] in

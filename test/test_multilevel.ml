@@ -164,6 +164,36 @@ let test_gap_vs_exact () =
     Design_library.all
 
 (* ------------------------------------------------------------------ *)
+(* Pinned V-cycle.                                                     *)
+
+(* One fixed 100-module huge-class design: the V-cycle's statistics and
+   the returned scheme's signature, as recorded with a boxed-tuple list
+   sort of the coarsening pairs and the rescanning compatibility walk.
+   Any drift in the merge order, or in the activity the compatibility
+   analysis feeds it, changes them. *)
+let test_pinned_vcycle () =
+  let design = Generator.huge ~seed:2013 ~modules:100 () in
+  let budget = huge_budget design in
+  let scheme, stats =
+    Multilevel.allocate_stats ~budget design (Multilevel.nodes design)
+  in
+  Alcotest.(check int) "levels" 2 stats.Multilevel.levels;
+  Alcotest.(check int) "merges" 100 stats.Multilevel.merges;
+  Alcotest.(check int) "passes" 9 stats.Multilevel.passes;
+  Alcotest.(check int) "moves" 58 stats.Multilevel.moves;
+  Alcotest.(check int) "trials" 10357 stats.Multilevel.trials;
+  Alcotest.(check (option int)) "first feasible total" (Some 295380)
+    stats.Multilevel.first_feasible_total;
+  Alcotest.(check (option int)) "final total" (Some 193756)
+    stats.Multilevel.final_total;
+  match scheme with
+  | None -> Alcotest.fail "pinned design must solve"
+  | Some scheme ->
+    Alcotest.(check string) "scheme signature digest"
+      "309c3e1a333414a1c554c27de8fc206f"
+      (Digest.to_hex (Digest.string (Memo.scheme_signature scheme)))
+
+(* ------------------------------------------------------------------ *)
 (* Strategy name surface.                                              *)
 
 let test_strategy_names () =
@@ -325,6 +355,9 @@ let () =
       ( "gap",
         [ Alcotest.test_case "within 10% of exact on the library" `Slow
             test_gap_vs_exact ] );
+      ( "pinned",
+        [ Alcotest.test_case "100-module v-cycle stats and signature" `Quick
+            test_pinned_vcycle ] );
       ( "strategy",
         [ Alcotest.test_case "name surface" `Quick test_strategy_names ] );
       ( "memo",

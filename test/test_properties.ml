@@ -325,6 +325,127 @@ let prop_largest_out_evicts_largest =
             evicted)
         keys)
 
+(* Property: the indexed greedy resolution in [Compatibility.analyse]
+   equals the rescanning reference it replaced, on every kind of
+   partition list the pipeline builds (mode singletons, covering
+   candidate sets, the single-region scheme's overlapping clusters) and
+   on random overlapping or non-covering lists. [naive_resolve] is the
+   reference: per pick, scan every partition against every uncovered
+   mode. *)
+let naive_resolve partitions config_modes mark =
+  let uncovered = ref config_modes in
+  let continue_ = ref true in
+  while !continue_ && !uncovered <> [] do
+    let best = ref None in
+    Array.iteri
+      (fun p (bp : Cluster.Base_partition.t) ->
+        let covered =
+          List.length
+            (List.filter (fun m -> Cluster.Base_partition.mem m bp) !uncovered)
+        in
+        match !best with
+        | Some (_, best_covered) when covered <= best_covered -> ()
+        | Some _ | None -> if covered > 0 then best := Some (p, covered))
+      partitions;
+    match !best with
+    | None -> continue_ := false
+    | Some (p, _) ->
+      mark p;
+      uncovered :=
+        List.filter
+          (fun m -> not (Cluster.Base_partition.mem m partitions.(p)))
+          !uncovered
+  done;
+  !uncovered = []
+
+let naive_analyse design partitions =
+  let configs = Design.configuration_count design in
+  let activity = Array.make_matrix (Array.length partitions) configs false in
+  let covers = ref true in
+  for c = 0 to configs - 1 do
+    let full =
+      naive_resolve partitions
+        (Design.config_mode_ids design c)
+        (fun p -> activity.(p).(c) <- true)
+    in
+    if not full then covers := false
+  done;
+  (activity, !covers)
+
+let indexed_matches_naive design partitions =
+  let analysis = Prcore.Compatibility.analyse design partitions in
+  let activity, covers = naive_analyse design partitions in
+  Prcore.Compatibility.covers_design analysis = covers
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun p row ->
+            Array.for_all Fun.id
+              (Array.mapi
+                 (fun c on ->
+                   Prcore.Compatibility.active analysis ~bp:p ~config:c = on)
+                 row))
+          activity)
+
+(* Random mode subsets, half drawn inside one configuration (so they
+   overlap the way clusters do) and half from all modes, listed in a
+   random priority order. *)
+let random_partitions rng design =
+  let modes = Design.mode_count design in
+  let configs = Design.configuration_count design in
+  let count = 1 + Random.State.int rng (2 * modes) in
+  let subset pool =
+    let pool = Array.of_list pool in
+    let size = 1 + Random.State.int rng (min 6 (Array.length pool)) in
+    List.sort_uniq Int.compare
+      (List.init size (fun _ -> pool.(Random.State.int rng (Array.length pool))))
+  in
+  let all_modes = List.init modes Fun.id in
+  let parts =
+    Array.init count (fun _ ->
+        let pool =
+          if Random.State.bool rng then
+            Design.config_mode_ids design (Random.State.int rng configs)
+          else all_modes
+        in
+        Cluster.Base_partition.make design ~modes:(subset pool) ~freq:1)
+  in
+  for i = count - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = parts.(i) in
+    parts.(i) <- parts.(j);
+    parts.(j) <- t
+  done;
+  parts
+
+let prop_compatibility_indexed =
+  QCheck2.Test.make ~name:"indexed compatibility analysis equals naive greedy"
+    ~count:100
+    QCheck2.Gen.(pair gen_design (0 -- 1_000_000))
+    (fun (design, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let singletons = Array.of_list (Prcore.Multilevel.nodes design) in
+      let candidate_sets =
+        List.map Array.of_list
+          (Prcore.Covering.candidate_sets design
+             (Cluster.Agglomerative.run design))
+      in
+      let clusters = (Scheme.single_region design).Scheme.partitions in
+      (* Drop at least one singleton: some used mode has no provider. *)
+      let dropped = Random.State.int rng (Array.length singletons) in
+      let uncovering =
+        Array.of_list
+          (List.filteri
+             (fun i _ -> i <> dropped && Random.State.bool rng)
+             (Array.to_list singletons))
+      in
+      List.for_all (indexed_matches_naive design)
+        ([ singletons; clusters; uncovering; random_partitions rng design;
+           random_partitions rng design ]
+        @ candidate_sets)
+      && not
+           (Prcore.Compatibility.covers_design
+              (Prcore.Compatibility.analyse design uncovering)))
+
 let () =
   Alcotest.run "cross-validation"
     [ ( "properties",
@@ -339,4 +460,5 @@ let () =
             prop_worst_bounded;
             prop_tour_bounded_by_directional;
             prop_cache_accounting;
-            prop_largest_out_evicts_largest ] ) ]
+            prop_largest_out_evicts_largest;
+            prop_compatibility_indexed ] ) ]
