@@ -1502,6 +1502,39 @@ let floorplan_smoke () =
     r.fl_aware_device r.fl_aware_escalations r.fl_unaware_device
     r.fl_unaware_escalations
 
+(* Bitstream kernels on the largest artefact of a case-study flow run:
+   the full-device stream of the smallest device fitting the case-study
+   budget. [parse] re-checks the CRC, as the V-BIT oracle does. *)
+type bitgen_stats = { bg_bytes : int; bg_generate_ms : float; bg_parse_ms : float }
+
+let bitgen_run () =
+  let device =
+    Option.get
+      (Fpga.Device.smallest_fitting Prdesign.Design_library.case_study_budget)
+  in
+  let header =
+    { Bitgen.Bitstream.design =
+        Prdesign.Design_library.video_receiver.Prdesign.Design.name;
+      variant = "full";
+      region = 0xFFFF;
+      far = 0;
+      frames = Fpga.Device.total_frames device }
+  in
+  let generate_ms, stream =
+    best_ms 10 (fun () -> Bitgen.Bitstream.generate header)
+  in
+  let serialised = Bitgen.Bitstream.serialise stream in
+  let parse_ms, parsed =
+    best_ms 10 (fun () -> Bitgen.Bitstream.parse serialised)
+  in
+  if Result.is_error parsed then begin
+    Printf.printf "BENCH FAILED: full-device bitstream does not parse back\n";
+    exit 1
+  end;
+  { bg_bytes = Bytes.length serialised;
+    bg_generate_ms = generate_ms;
+    bg_parse_ms = parse_ms }
+
 (* Machine-readable performance artefact (BENCH_core.json): allocator
    move throughput, engine solve latency (Bechamel OLS), sweep
    throughput sequential vs parallel, and the evaluation-cache hit
@@ -1636,6 +1669,7 @@ let bench_json () =
      the aware solve latency are regression-tracked. *)
   let fl = floorplan_run () in
   floorplan_check fl;
+  let bg = bitgen_run () in
   (* Prserve daemon throughput under a duplicate-heavy concurrent
      load; hit rate and p99 latency are regression-tracked. *)
   let serve_stats =
@@ -1758,6 +1792,12 @@ let bench_json () =
                 ("ms_per_run", Float fl.fl_ms);
                 ("oracle_clean", Bool fl.fl_oracle_clean);
                 ("bit_identical", Bool fl.fl_identical) ] );
+          ( "bitgen",
+            Obj
+              [ ("stream", String "video-receiver full-device bitstream");
+                ("bytes", Int bg.bg_bytes);
+                ("generate_ms_per_run", Float bg.bg_generate_ms);
+                ("parse_ms_per_run", Float bg.bg_parse_ms) ] );
           ( "serve",
             Obj
               [ ("requests", Int serve_stats.sl_requests);
@@ -1841,6 +1881,9 @@ let bench_json () =
      %d penalty evals\n"
     fl.fl_aware_device fl.fl_aware_escalations fl.fl_unaware_device
     fl.fl_unaware_escalations fl.fl_ms fl.fl_penalty_evals;
+  Printf.printf "bitgen: %d-byte full-device stream, generate %.1f ms, parse \
+     %.1f ms\n"
+    bg.bg_bytes bg.bg_generate_ms bg.bg_parse_ms;
   Printf.printf "wrote %s\n" path;
   (* Regression history: every bench-json run appends its metrics, and
      bench-compare diffs the two most recent entries. *)

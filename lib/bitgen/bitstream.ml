@@ -18,16 +18,47 @@ let far_of_origin ~row ~major =
 let max_string = 64
 
 (* A tiny deterministic byte stream seeded from the header text, standing
-   in for real mask data. *)
+   in for real mask data: byte [i] is bits 16..23 of the [i+1]-th state of
+   the LCG [x -> a*x + c]. Four interleaved lanes produce one 4-byte group
+   per step: lane [k] holds the state of byte [i + k] and jumps four
+   states at once with the composed map [x -> a^4*x + c*(1+a+a^2+a^3)],
+   exact in OCaml's wrapping [int] because composing affine maps is a ring
+   identity. *)
+let lcg_a = 1103515245
+let lcg_c = 12345
+let jump_a = lcg_a * lcg_a * lcg_a * lcg_a
+let jump_c = lcg_c * (1 + lcg_a + (lcg_a * lcg_a) + (lcg_a * lcg_a * lcg_a))
+
 let fill_payload header payload =
   let seed =
     Int32.to_int (Crc32.string_digest (header.design ^ "/" ^ header.variant))
     land 0xFFFFFF
   in
-  let state = ref (seed lor 1) in
-  for i = 0 to Bytes.length payload - 1 do
-    state := (!state * 1103515245) + 12345;
-    Bytes.set payload i (Char.chr ((!state lsr 16) land 0xFF))
+  let step x = (x * lcg_a) + lcg_c and jump x = (x * jump_a) + jump_c in
+  let s0 = step (seed lor 1) in
+  let s1 = step s0 in
+  let s2 = step s1 in
+  let s3 = step s2 in
+  let s0 = ref s0 and s1 = ref s1 and s2 = ref s2 and s3 = ref s3 in
+  let len = Bytes.length payload in
+  let i = ref 0 in
+  while !i + 4 <= len do
+    Bytes.set_int32_le payload !i
+      (Int32.of_int
+         ((!s0 lsr 16) land 0xFF
+         lor ((!s1 lsr 8) land 0xFF00)
+         lor (!s2 land 0xFF0000)
+         lor ((!s3 lsl 8) land 0xFF000000)));
+    s0 := jump !s0;
+    s1 := jump !s1;
+    s2 := jump !s2;
+    s3 := jump !s3;
+    i := !i + 4
+  done;
+  (* Lane [k] now holds the state of byte [!i + k]. *)
+  let lanes = [| !s0; !s1; !s2 |] in
+  for k = 0 to len - !i - 1 do
+    Bytes.set payload (!i + k) (Char.chr ((lanes.(k) lsr 16) land 0xFF))
   done
 
 let check_header h =
@@ -94,7 +125,10 @@ let serialise t =
   done;
   out
 
-let size_bytes t = Bytes.length (serialise t)
+(* Same layout as [header_bytes] and [serialise], without building them. *)
+let size_bytes t =
+  14 + 1 + String.length t.header.design + 1 + String.length t.header.variant
+  + Bytes.length t.payload + 4
 
 let read_u32 buffer pos =
   let byte i = Int32.of_int (Char.code (Bytes.get buffer (pos + i))) in

@@ -12,14 +12,23 @@ type evaluation = {
 }
 
 (* Resident partition per (config, region): partition index or -1 for a
-   don't-care. *)
+   don't-care. One pass over the placement, O(partitions x configs):
+   partitions are visited in descending index, so the lowest active
+   member of a region is written last and wins, as in
+   [Scheme.active_partition]. *)
 let residency (s : Scheme.t) =
   let configs = Design.configuration_count s.design in
-  Array.init configs (fun c ->
-      Array.init s.region_count (fun r ->
-          match Scheme.active_partition s ~config:c ~region:r with
-          | Some p -> p
-          | None -> -1))
+  let resid = Array.make_matrix configs s.region_count (-1) in
+  for p = Array.length s.placement - 1 downto 0 do
+    match s.placement.(p) with
+    | Scheme.Static -> ()
+    | Scheme.Region r ->
+      for c = 0 to configs - 1 do
+        if Compatibility.active s.analysis ~bp:p ~config:c then
+          resid.(c).(r) <- p
+      done
+  done;
+  resid
 
 let conflicts_of_column residency_matrix r =
   let configs = Array.length residency_matrix in
@@ -90,11 +99,10 @@ let pairwise_frames (s : Scheme.t) i j =
   !cost
 
 (* Shared kernel for the all-pairs entry points: resolve residency and
-   region frames once (each [Scheme.active_partition] /
-   [Scheme.region_frames] call walks member lists), then fold over the
-   upper triangle only. [pairwise_frames] recomputed both per pair
-   before this existed; now every pair costs one O(regions) scan over
-   precomputed arrays. *)
+   region frames once (each [Scheme.region_frames] call walks the member
+   list), then fold over the upper triangle only. [pairwise_frames]
+   recomputed both per pair before this existed; now every pair costs one
+   O(regions) scan over precomputed arrays. *)
 let fold_pairs (s : Scheme.t) f init =
   let configs = Design.configuration_count s.design in
   let resid = residency s in

@@ -198,9 +198,127 @@ let prop_roundtrip =
       | Ok parsed -> parsed.Bitstream.header = header
       | Error _ -> false)
 
+(* Differential references: the bytewise table-driven CRC-32 and the
+   per-byte LCG payload loop, kept here independent of the word-at-a-time
+   kernels in [Crc32] and [Bitstream]. *)
+let reference_table =
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        if Int32.logand !c 1l <> 0l then
+          c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+        else c := Int32.shift_right_logical !c 1
+      done;
+      !c)
+
+let reference_update crc buffer ~pos ~len =
+  let crc = ref crc in
+  for i = pos to pos + len - 1 do
+    let index =
+      Int32.to_int
+        (Int32.logand
+           (Int32.logxor !crc (Int32.of_int (Char.code (Bytes.get buffer i))))
+           0xFFl)
+    in
+    crc := Int32.logxor reference_table.(index) (Int32.shift_right_logical !crc 8)
+  done;
+  !crc
+
+let reference_digest buffer =
+  Int32.logxor
+    (reference_update 0xFFFFFFFFl buffer ~pos:0 ~len:(Bytes.length buffer))
+    0xFFFFFFFFl
+
+let reference_payload (h : Bitstream.header) =
+  let payload = Bytes.create (h.frames * Fpga.Frame.bytes_per_frame) in
+  let seed =
+    Int32.to_int
+      (reference_digest (Bytes.of_string (h.design ^ "/" ^ h.variant)))
+    land 0xFFFFFF
+  in
+  let state = ref (seed lor 1) in
+  for i = 0 to Bytes.length payload - 1 do
+    state := (!state * 1103515245) + 12345;
+    Bytes.set payload i (Char.chr ((!state lsr 16) land 0xFF))
+  done;
+  payload
+
+let random_bytes rng n =
+  Bytes.init n (fun _ -> Char.chr (Random.State.int rng 256))
+
+(* A buffer of up to 64 KiB and a slice of it: a third of the slices are
+   shorter than one 8-byte step, the empty slice included. *)
+let gen_slice =
+  QCheck2.Gen.(
+    map
+      (fun (n, seed) ->
+        let rng = Random.State.make [| seed |] in
+        let buffer = random_bytes rng n in
+        let pos = Random.State.int rng (n + 1) in
+        let room = n - pos in
+        let len =
+          if Random.State.int rng 3 = 0 then Random.State.int rng (min 8 room + 1)
+          else Random.State.int rng (room + 1)
+        in
+        (buffer, pos, len, seed))
+      (pair (0 -- 65_536) int))
+
+let prop_crc_matches_reference =
+  QCheck2.Test.make ~name:"slice-by-8 CRC equals bytewise reference"
+    ~count:200 gen_slice (fun (buffer, pos, len, _) ->
+      Crc32.update Crc32.initial buffer ~pos ~len
+      = reference_update 0xFFFFFFFFl buffer ~pos ~len
+      && Crc32.update 0x12345678l buffer ~pos ~len
+         = reference_update 0x12345678l buffer ~pos ~len)
+
+let prop_crc_chained =
+  QCheck2.Test.make ~name:"chained CRC updates at random splits" ~count:200
+    gen_slice (fun (buffer, pos, len, seed) ->
+      let rng = Random.State.make [| seed; 1 |] in
+      let rec feed crc pos len =
+        if len = 0 then crc
+        else begin
+          let step = 1 + Random.State.int rng len in
+          feed (Crc32.update crc buffer ~pos ~len:step) (pos + step) (len - step)
+        end
+      in
+      Crc32.finalise (feed Crc32.initial pos len)
+      = reference_digest (Bytes.sub buffer pos len))
+
+let gen_header =
+  QCheck2.Gen.(
+    map3
+      (fun frames design variant ->
+        { Bitstream.design; variant; region = 1; far = 0; frames })
+      (0 -- 300)
+      (string_size ~gen:char (0 -- 64))
+      (string_size ~gen:char (0 -- 64)))
+
+let prop_payload_matches_reference =
+  QCheck2.Test.make ~name:"four-lane payload equals per-byte LCG" ~count:100
+    gen_header (fun header ->
+      let b = Bitstream.generate header in
+      let serialised = Bitstream.serialise b in
+      Bytes.equal b.Bitstream.payload (reference_payload header)
+      && b.Bitstream.crc
+         = reference_digest
+             (Bytes.sub serialised 0 (Bytes.length serialised - 4)))
+
+let prop_size_bytes =
+  QCheck2.Test.make ~name:"size_bytes equals serialised length" ~count:100
+    gen_header (fun header ->
+      let b = Bitstream.generate header in
+      Bitstream.size_bytes b = Bytes.length (Bitstream.serialise b))
+
 let () =
   Alcotest.run "bitgen"
     [ ("crc32", crc_tests);
       ("bitstream", bitstream_tests);
       ("repository", repository_tests);
-      ("properties", [ QCheck_alcotest.to_alcotest prop_roundtrip ]) ]
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_roundtrip;
+            prop_crc_matches_reference;
+            prop_crc_chained;
+            prop_payload_matches_reference;
+            prop_size_bytes ] ) ]

@@ -446,6 +446,41 @@ let prop_compatibility_indexed =
            (Prcore.Compatibility.covers_design
               (Prcore.Compatibility.analyse design uncovering)))
 
+(* Property 13: [Cost.evaluate] and [Cost.transition_matrix] build their
+   residency in one pass over the placement (lowest active member wins).
+   The oracle re-derives the evaluation from scratch, and
+   [Cost.pairwise_frames] resolves each pair through
+   [Scheme.active_partition]; both must agree on single-region schemes
+   (overlapping whole-configuration clusters), modular schemes and greedy
+   outcomes under the modular scheme's own budget. *)
+let cost_matches_references s =
+  let configs = Design.configuration_count s.Scheme.design in
+  let m = Cost.transition_matrix s in
+  Cost.equal_evaluation (Cost.evaluate s)
+    (Prverify.Oracle.derive_evaluation s)
+  && List.for_all
+       (fun i ->
+         List.for_all
+           (fun j -> m.(i).(j) = Cost.pairwise_frames s i j)
+           (List.init configs Fun.id))
+       (List.init configs Fun.id)
+
+let prop_cost_one_pass_residency =
+  QCheck2.Test.make ~name:"one-pass residency matches oracle and pairwise"
+    ~count:60 gen_design (fun design ->
+      let modular = Scheme.one_module_per_region design in
+      let greedy =
+        match
+          Engine.solve
+            ~target:(Engine.Budget (Cost.evaluate modular).Cost.used)
+            design
+        with
+        | Ok outcome -> [ outcome.Engine.scheme ]
+        | Error _ -> []
+      in
+      List.for_all cost_matches_references
+        ([ Scheme.single_region design; modular ] @ greedy))
+
 let () =
   Alcotest.run "cross-validation"
     [ ( "properties",
@@ -461,4 +496,5 @@ let () =
             prop_tour_bounded_by_directional;
             prop_cache_accounting;
             prop_largest_out_evicts_largest;
-            prop_compatibility_indexed ] ) ]
+            prop_compatibility_indexed;
+            prop_cost_one_pass_residency ] ) ]
