@@ -147,7 +147,8 @@ let faults () =
 
 (* Fault-injection smoke for the test suite (--quick): a scripted fault
    schedule with a fixed seed must (1) leave the fault-free statistics
-   bit-for-bit identical to Manager.simulate, (2) inject exactly the
+   of the seed-5 40-step case-study walk bit-for-bit equal to golden
+   values (integers and the floats' exact bits), (2) inject exactly the
    scheduled faults and recover them all, and (3) replay to an
    identical reliability report. Exits 1 on any mismatch. *)
 let fault_smoke () =
@@ -176,13 +177,21 @@ let fault_smoke () =
       ~configs:(Prdesign.Design.configuration_count receiver)
       ~steps:40 ~initial:0
   in
-  (* (1) Inactive injector: bit-for-bit equal to the plain simulator. *)
-  let plain = Runtime.Manager.simulate scheme ~initial:0 ~sequence in
+  (* (1) Inactive injector: bit-for-bit equal to the golden replay. *)
+  let golden =
+    { Runtime.Manager.steps = 40;
+      transitions = 40;
+      total_frames = 337746;
+      total_seconds = 0x1.1b993b4fe2409p-3;
+      max_frames = 12662;
+      mean_frames = 0x1.07dd333333333p+13;
+      region_loads = [| 7; 19; 29; 27 |] }
+  in
   (match Runtime.Resilient.simulate scheme ~initial:0 ~sequence with
    | Error _ -> fail "inactive injector must not fail"
    | Ok o ->
-     if o.Runtime.Resilient.stats <> plain then
-       fail "inactive injector diverged from Manager.simulate");
+     if o.Runtime.Resilient.stats <> golden then
+       fail "inactive injector diverged from the golden replay");
   (* (2) Scripted schedule: exactly these operations fault, all recover. *)
   (* Operations alternate fetch/program per load attempt and a faulted
      attempt replays both, so with a fault-free prefix in mind:
@@ -681,6 +690,74 @@ let multilevel_size_curve () =
           ms_solve_ms = solve_ms;
           ms_total = o.Prcore.Engine.evaluation.Prcore.Cost.total_frames })
     multilevel_curve_sizes
+
+(* Design-size curve of the implementation stages that run per region:
+   at 50/100/200 modules, the multilevel scheme under [huge_budget] is
+   replayed on the fault-injected 1 000-step [Tool_flow] walk by the
+   reconfiguration simulator, and placed by [Placer.place] on the
+   smallest catalogue device that fits it (the largest when none does),
+   best of five each. A simulator or placer step that grows faster than
+   the region count shows as a steepening curve. *)
+let runtime_curve_sizes = [ 50; 100; 200 ]
+
+type rt_size = {
+  rt_modules : int;
+  rt_regions : int;
+  rt_simulate_ms : float;
+  rt_place_ms : float;
+}
+
+let runtime_size_curve () =
+  List.map
+    (fun modules ->
+      let design = Synth.Generator.huge ~seed:huge_seed ~modules () in
+      let target = Prcore.Engine.Budget (huge_budget design) in
+      match
+        Prcore.Engine.solve ~strategy:Prcore.Strategy.Multilevel ~target design
+      with
+      | Error m ->
+        Printf.printf "BENCH FAILED: runtime %d-module solve: %s\n" modules m;
+        exit 1
+      | Ok o ->
+        let scheme = o.Prcore.Engine.scheme in
+        let r = Flow.Tool_flow.default_resilience in
+        let rng = Synth.Rng.make r.Flow.Tool_flow.walk_seed in
+        let sequence =
+          Runtime.Manager.random_walk
+            ~rand:(fun n -> Synth.Rng.int rng n)
+            ~configs:(Prdesign.Design.configuration_count design)
+            ~steps:r.Flow.Tool_flow.walk_steps ~initial:0
+        in
+        let simulate_ms, _ =
+          best_ms 5 (fun () ->
+              Runtime.Resilient.simulate ~memory:r.Flow.Tool_flow.memory
+                ~fault:r.Flow.Tool_flow.fault scheme ~initial:0 ~sequence)
+        in
+        let device =
+          match
+            Fpga.Device.smallest_fitting ~within:Fpga.Device.catalogue
+              o.Prcore.Engine.evaluation.Prcore.Cost.used
+          with
+          | Some d -> d
+          | None ->
+            List.fold_left
+              (fun best d ->
+                if Fpga.Device.compare_capacity d best > 0 then d else best)
+              (List.hd Fpga.Device.catalogue) Fpga.Device.catalogue
+        in
+        let layout = Floorplan.Layout.make device in
+        let demands =
+          Array.map Floorplan.Placer.demand_of_resources
+            (Prcore.Cost.placement_demands scheme)
+        in
+        let place_ms, _ =
+          best_ms 5 (fun () -> Floorplan.Placer.place layout demands)
+        in
+        { rt_modules = modules;
+          rt_regions = scheme.Prcore.Scheme.region_count;
+          rt_simulate_ms = simulate_ms;
+          rt_place_ms = place_ms })
+    runtime_curve_sizes
 
 (* Quality gap of the multilevel scheme against an eval-capped anneal
    on a small huge-class design — the largest size where the default
@@ -1665,6 +1742,7 @@ let bench_json () =
   end;
   let ml_gap = multilevel_gap_vs_anneal () in
   let ml_curve = multilevel_size_curve () in
+  let rt_curve = runtime_size_curve () in
   (* Placement-aware flow vs post-hoc feedback: escalations avoided and
      the aware solve latency are regression-tracked. *)
   let fl = floorplan_run () in
@@ -1778,6 +1856,25 @@ let bench_json () =
                                ("solve_ms_per_run", Float r.ms_solve_ms);
                                ("total_frames", Int r.ms_total) ] ))
                        ml_curve) ) ] );
+          ( "runtime",
+            Obj
+              [ ( "design",
+                  String
+                    (Printf.sprintf
+                       "synth huge class (seed %d), multilevel under the \
+                        1.3x modular budget, 1000-step Tool_flow walk"
+                       huge_seed) );
+                ( "sizes",
+                  Obj
+                    (List.map
+                       (fun r ->
+                         ( Printf.sprintf "m%d" r.rt_modules,
+                           Obj
+                             [ ("modules", Int r.rt_modules);
+                               ("regions", Int r.rt_regions);
+                               ("simulate_ms_per_run", Float r.rt_simulate_ms);
+                               ("place_ms_per_run", Float r.rt_place_ms) ] ))
+                       rt_curve) ) ] );
           ( "floorplan",
             Obj
               [ ("design", String "fragmented-filter on XC5VLX30");
@@ -1876,6 +1973,13 @@ let bench_json () =
             Printf.sprintf "%d: %.2f/%.0f" r.ms_modules r.ms_analyse_ms
               r.ms_solve_ms)
           ml_curve));
+  Printf.printf "runtime size curve (simulate/place ms): %s\n"
+    (String.concat ", "
+       (List.map
+          (fun r ->
+            Printf.sprintf "%d: %.1f/%.0f" r.rt_modules r.rt_simulate_ms
+              r.rt_place_ms)
+          rt_curve));
   Printf.printf
     "floorplan: aware %s (%d escalations) vs unaware %s (%d), %.1f ms/run, \
      %d penalty evals\n"

@@ -549,8 +549,10 @@ let fault_rate_arg =
   let doc =
     "Inject faults: per-operation probability (in [0,1]) of each fault \
      kind (fetch timeout, corrupt bitstream, ICAP CRC error, SEU upset, \
-     device busy) on the operations it applies to. Enables the resilient \
-     runtime; the other $(b,--fault-*) flags refine it."
+     device busy) on the operations it applies to. The walk then fetches \
+     bitstreams from DDR-class memory and prints the fetch and \
+     reliability reports; the other $(b,--fault-*) flags refine it. \
+     Without it the walk replays fault-free."
   in
   Arg.(
     value
@@ -653,11 +655,16 @@ let simulate_cmd =
                 in
                 let simulated =
                   match fault_rate with
-                  | None ->
-                    (* Fault-free legacy path: the plain manager replay. *)
-                    print_stats
-                      (Runtime.Trace.simulate ~telemetry outcome.scheme walk);
-                    Ok ()
+                  | None -> (
+                    (* No --fault-rate: an inactive injector, no fetch
+                       model, so the replay cannot fail. *)
+                    match
+                      Runtime.Trace.simulate ~telemetry outcome.scheme walk
+                    with
+                    | Ok o ->
+                      print_stats o.Runtime.Resilient.stats;
+                      Ok ()
+                    | Error f -> Error (Runtime.Resilient.render_failure f))
                   | Some rate
                     when rate < 0. || rate > 1. || Float.is_nan rate ->
                     Error "--fault-rate must be in [0, 1]"
@@ -682,7 +689,7 @@ let simulate_cmd =
                           safe_config }
                       in
                       (match
-                         Runtime.Trace.simulate_resilient ~telemetry
+                         Runtime.Trace.simulate ~telemetry
                            ~memory:Runtime.Fetch.ddr ~fault outcome.scheme
                            walk
                        with
@@ -713,7 +720,9 @@ let simulate_cmd =
             end))
   in
   let doc =
-    "Partition a design and replay an adaptation walk (random or recorded)."
+    "Partition a design and replay an adaptation walk (random or recorded) \
+     on the reconfiguration simulator: an idle region keeps its bitstream, \
+     so a step reloads only the regions whose resident must change."
   in
   Cmd.v
     (Cmd.info "simulate" ~doc)

@@ -83,7 +83,12 @@ let () =
       ~steps:10_000 ~initial:0
   in
   let icap = Fpga.Icap.make ~overhead_s:20e-6 () in
-  let stats = Runtime.Manager.simulate ~icap outcome.scheme ~initial:0 ~sequence in
+  let replay scheme =
+    match Runtime.Resilient.simulate ~icap scheme ~initial:0 ~sequence with
+    | Ok o -> o.Runtime.Resilient.stats
+    | Error f -> failwith (Runtime.Resilient.render_failure f)
+  in
+  let stats = replay outcome.scheme in
   Format.printf "10k-step adaptation walk: %a@." Runtime.Manager.pp_stats stats;
   Array.iteri
     (fun r loads -> Format.printf "  PRR%d reconfigured %d times@." (r + 1) loads)
@@ -91,8 +96,6 @@ let () =
 
   (* The same walk on the one-module-per-region baseline, for contrast. *)
   let modular = (Baselines.Schemes.one_module_per_region radio).scheme in
-  let stats_modular =
-    Runtime.Manager.simulate ~icap modular ~initial:0 ~sequence
-  in
+  let stats_modular = replay modular in
   Format.printf "same walk, 1 module/region: %a@." Runtime.Manager.pp_stats
     stats_modular

@@ -76,11 +76,13 @@ let () =
             ~configs:(Prdesign.Design.configuration_count design)
             ~steps:2000 ~initial:0
         in
-        let stats =
-          Runtime.Manager.simulate outcome.scheme ~initial:0 ~sequence
-        in
-        Format.printf "  budget %a: %a@." Fpga.Resource.pp p.budget
-          Runtime.Manager.pp_stats stats
+        match
+          Runtime.Resilient.simulate outcome.scheme ~initial:0 ~sequence
+        with
+        | Ok o ->
+          Format.printf "  budget %a: %a@." Fpga.Resource.pp p.budget
+            Runtime.Manager.pp_stats o.Runtime.Resilient.stats
+        | Error f -> failwith (Runtime.Resilient.render_failure f)
     in
     Format.printf "@.2000-step adaptation walks at the sweep extremes:@.";
     simulate tightest;

@@ -74,13 +74,16 @@ let () =
      to noisy (c4, BPSK+DPC), then recover. *)
   let scenario = [ 1; 2; 3; 6; 5; 4; 3; 0 ] in
   Format.printf "@.Channel-adaptation scenario:@.";
-  let stats =
-    Runtime.Manager.simulate ~icap scheme ~initial:0 ~sequence:scenario
-      ~trace:(fun event ->
-        Format.printf "  step %d: %s -> %s, %d frames (%.2f ms)@."
-          event.step
-          design.configurations.(event.from_config).name
-          design.configurations.(event.to_config).name event.frames
-          (1e3 *. event.seconds))
-  in
-  Format.printf "Scenario total: %a@." Runtime.Manager.pp_stats stats
+  (match
+     Runtime.Resilient.simulate ~icap scheme ~initial:0 ~sequence:scenario
+       ~trace:(fun (event : Runtime.Manager.event) ->
+         Format.printf "  step %d: %s -> %s, %d frames (%.2f ms)@."
+           event.step
+           design.configurations.(event.from_config).name
+           design.configurations.(event.to_config).name event.frames
+           (1e3 *. event.seconds))
+   with
+   | Ok o ->
+     Format.printf "Scenario total: %a@." Runtime.Manager.pp_stats
+       o.Runtime.Resilient.stats
+   | Error f -> failwith (Runtime.Resilient.render_failure f))

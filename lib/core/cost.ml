@@ -11,25 +11,6 @@ type evaluation = {
   used : Resource.t;
 }
 
-(* Resident partition per (config, region): partition index or -1 for a
-   don't-care. One pass over the placement, O(partitions x configs):
-   partitions are visited in descending index, so the lowest active
-   member of a region is written last and wins, as in
-   [Scheme.active_partition]. *)
-let residency (s : Scheme.t) =
-  let configs = Design.configuration_count s.design in
-  let resid = Array.make_matrix configs s.region_count (-1) in
-  for p = Array.length s.placement - 1 downto 0 do
-    match s.placement.(p) with
-    | Scheme.Static -> ()
-    | Scheme.Region r ->
-      for c = 0 to configs - 1 do
-        if Compatibility.active s.analysis ~bp:p ~config:c then
-          resid.(c).(r) <- p
-      done
-  done;
-  resid
-
 let conflicts_of_column residency_matrix r =
   let configs = Array.length residency_matrix in
   let count = ref 0 in
@@ -42,8 +23,8 @@ let conflicts_of_column residency_matrix r =
   !count
 
 let evaluate (s : Scheme.t) =
-  let resid = residency s in
-  let region_frames = Array.init s.region_count (Scheme.region_frames s) in
+  let resid = s.resident in
+  let region_frames = Array.copy s.frames in
   let region_conflicts =
     Array.init s.region_count (conflicts_of_column resid)
   in
@@ -85,28 +66,18 @@ let pairwise_frames (s : Scheme.t) i j =
     invalid_arg "Cost.pairwise_frames: configuration index out of range";
   let cost = ref 0 in
   for r = 0 to s.region_count - 1 do
-    let a =
-      match Scheme.active_partition s ~config:i ~region:r with
-      | Some p -> p
-      | None -> -1
-    and b =
-      match Scheme.active_partition s ~config:j ~region:r with
-      | Some p -> p
-      | None -> -1
-    in
-    if a >= 0 && b >= 0 && a <> b then cost := !cost + Scheme.region_frames s r
+    let a = s.resident.(i).(r) and b = s.resident.(j).(r) in
+    if a >= 0 && b >= 0 && a <> b then cost := !cost + s.frames.(r)
   done;
   !cost
 
-(* Shared kernel for the all-pairs entry points: resolve residency and
-   region frames once (each [Scheme.region_frames] call walks the member
-   list), then fold over the upper triangle only. [pairwise_frames]
-   recomputed both per pair before this existed; now every pair costs one
-   O(regions) scan over precomputed arrays. *)
+(* Shared kernel for the all-pairs entry points: fold over the upper
+   triangle only, each pair one O(regions) scan of the scheme's resident
+   table and region frames. *)
 let fold_pairs (s : Scheme.t) f init =
   let configs = Design.configuration_count s.design in
-  let resid = residency s in
-  let region_frames = Array.init s.region_count (Scheme.region_frames s) in
+  let resid = s.resident in
+  let region_frames = s.frames in
   let acc = ref init in
   for i = 0 to configs - 1 do
     for j = i + 1 to configs - 1 do

@@ -10,8 +10,23 @@ type t = {
   placement : placement array;
   region_count : int;
   analysis : Compatibility.t;
+  members : int list array;
+  frames : int array;
+  resident : int array array;
 }
 
+(* Component-wise maximum over a region's members (paper eq. 2): only
+   one partition is resident at a time. *)
+let max_resources partitions members =
+  List.fold_left
+    (fun acc p -> Resource.max acc partitions.(p).Base_partition.resources)
+    Resource.zero members
+
+(* One pass over the placement builds the region member lists
+   (ascending), one pass over (member, configuration) the resident
+   table: the lowest active member of each region per configuration, -1
+   when the region is idle. A second active member is a clash; clashes
+   are counted from the member lists only on that error path. *)
 let validate design partitions placement =
   let issues = ref [] in
   let problem fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
@@ -21,13 +36,15 @@ let validate design partitions placement =
       0 placement
   in
   let members = Array.make region_count [] in
-  Array.iteri
-    (fun p -> function
-      | Static -> ()
-      | Region r ->
-        if r < 0 then problem "partition %d assigned a negative region" p
-        else members.(r) <- p :: members.(r))
-    placement;
+  let negative = ref [] in
+  for p = Array.length placement - 1 downto 0 do
+    match placement.(p) with
+    | Static -> ()
+    | Region r ->
+      if r < 0 then negative := p :: !negative
+      else members.(r) <- p :: members.(r)
+  done;
+  List.iter (problem "partition %d assigned a negative region") !negative;
   Array.iteri
     (fun r l -> if l = [] then problem "region %d is empty" r)
     members;
@@ -35,28 +52,53 @@ let validate design partitions placement =
   if not (Compatibility.covers_design analysis) then
     problem "some configuration modes have no providing partition";
   let configs = Design.configuration_count design in
+  let resident = Array.make_matrix configs region_count (-1) in
+  let clashes = ref [] in
   Array.iteri
     (fun r l ->
-      for c = 0 to configs - 1 do
-        let active =
-          List.filter (fun p -> Compatibility.active analysis ~bp:p ~config:c) l
-        in
-        if List.length active > 1 then
-          problem
-            "region %d hosts %d simultaneously active partitions in \
-             configuration %d"
-            r (List.length active) c
-      done)
+      List.iter
+        (fun p ->
+          for c = 0 to configs - 1 do
+            if Compatibility.active analysis ~bp:p ~config:c then
+              if resident.(c).(r) < 0 then resident.(c).(r) <- p
+              else clashes := (r, c) :: !clashes
+          done)
+        l)
     members;
-  (List.rev !issues, region_count, analysis)
+  List.iter
+    (fun (r, c) ->
+      let active =
+        List.filter
+          (fun p -> Compatibility.active analysis ~bp:p ~config:c)
+          members.(r)
+      in
+      problem
+        "region %d hosts %d simultaneously active partitions in \
+         configuration %d"
+        r (List.length active) c)
+    (List.sort_uniq compare !clashes);
+  (List.rev !issues, region_count, analysis, members, resident)
 
 let make design assignment =
   let partitions = Array.of_list (List.map fst assignment) in
   let placement = Array.of_list (List.map snd assignment) in
   match validate design partitions placement with
-  | [], region_count, analysis ->
-    Ok { design; partitions; placement; region_count; analysis }
-  | issues, _, _ -> Error issues
+  | [], region_count, analysis, members, resident ->
+    let frames =
+      Array.map
+        (fun l -> Fpga.Tile.frames_of_resources (max_resources partitions l))
+        members
+    in
+    Ok
+      { design;
+        partitions;
+        placement;
+        region_count;
+        analysis;
+        members;
+        frames;
+        resident }
+  | issues, _, _, _, _ -> Error issues
 
 let make_exn design assignment =
   match make design assignment with
@@ -67,15 +109,13 @@ let check_region t r =
   if r < 0 || r >= t.region_count then
     invalid_arg "Scheme: region index out of range"
 
+let check_config t c =
+  if c < 0 || c >= Array.length t.resident then
+    invalid_arg "Scheme: configuration index out of range"
+
 let region_members t r =
   check_region t r;
-  let acc = ref [] in
-  Array.iteri
-    (fun p -> function
-      | Region r' when r' = r -> acc := p :: !acc
-      | Region _ | Static -> ())
-    t.placement;
-  List.rev !acc
+  t.members.(r)
 
 let static_members t =
   let acc = ref [] in
@@ -84,12 +124,11 @@ let static_members t =
     t.placement;
   List.rev !acc
 
-let region_resources t r =
-  List.fold_left
-    (fun acc p -> Resource.max acc t.partitions.(p).Base_partition.resources)
-    Resource.zero (region_members t r)
+let region_resources t r = max_resources t.partitions (region_members t r)
 
-let region_frames t r = Fpga.Tile.frames_of_resources (region_resources t r)
+let region_frames t r =
+  check_region t r;
+  t.frames.(r)
 
 let static_resources t =
   List.fold_left
@@ -108,9 +147,15 @@ let total_resources t =
 
 let active_partition t ~config ~region =
   check_region t region;
-  List.find_opt
-    (fun p -> Compatibility.active t.analysis ~bp:p ~config)
-    (region_members t region)
+  check_config t config;
+  let p = t.resident.(config).(region) in
+  if p < 0 then None else Some p
+
+let initial_resident t ~initial r =
+  check_region t r;
+  check_config t initial;
+  let p = t.resident.(initial).(r) in
+  if p >= 0 then p else List.hd t.members.(r)
 
 (* Reference schemes. *)
 

@@ -13,6 +13,13 @@ type t = private {
   placement : placement array;
   region_count : int;
   analysis : Compatibility.t;
+  members : int list array;
+      (** Per region, its partition indices in ascending priority. *)
+  frames : int array;  (** Per region, {!region_frames}. *)
+  resident : int array array;
+      (** [resident.(c).(r)]: the partition active in region [r] under
+          configuration [c], or [-1] when [c] leaves the region idle.
+          Built by {!make} in its validation pass; read-only. *)
 }
 
 val make :
@@ -21,7 +28,9 @@ val make :
   (t, string list) result
 (** Validates: region indices must be dense ([0 .. region_count-1], each
     non-empty), every configuration mode must have a provider, and no
-    region may have two active partitions in the same configuration. *)
+    region may have two active partitions in the same configuration.
+    The same pass indexes the scheme, so the structural queries below
+    answer in O(1). *)
 
 val make_exn :
   Prdesign.Design.t -> (Cluster.Base_partition.t * placement) list -> t
@@ -52,7 +61,16 @@ val total_resources : t -> Fpga.Resource.t
 val active_partition : t -> config:int -> region:int -> int option
 (** The partition resident in a region under a configuration, or [None]
     when the configuration does not use the region (content is then a
-    don't-care and no reconfiguration is required). *)
+    don't-care and no reconfiguration is required).
+    @raise Invalid_argument on an out-of-range region or configuration. *)
+
+val initial_resident : t -> initial:int -> int -> int
+(** The partition the initial full bitstream leaves in region [r]: the
+    active partition when configuration [initial] uses the region, else
+    the region's first-listed partition (the fabric must hold
+    something). The runtime simulator and the HDL top level share this
+    rule.
+    @raise Invalid_argument on an out-of-range region or configuration. *)
 
 (** {1 Reference schemes} (paper §IV-A) *)
 

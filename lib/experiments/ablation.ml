@@ -93,7 +93,12 @@ let proxy_vs_simulation ?(steps = 4000) ?(seed = 7) () =
           ~rand:(fun n -> Synth.Rng.int rng n)
           ~configs ~steps ~initial:0
       in
-      let stats = Runtime.Manager.simulate scheme ~initial:0 ~sequence in
+      let stats =
+        match Runtime.Resilient.simulate scheme ~initial:0 ~sequence with
+        | Ok o -> o.Runtime.Resilient.stats
+        | Error f ->
+          failwith ("proxy ablation: " ^ Runtime.Resilient.render_failure f)
+      in
       { design_name = design.Prdesign.Design.name;
         pairwise_mean_frames;
         simulated_mean_frames = stats.Runtime.Manager.mean_frames })
@@ -288,8 +293,13 @@ let fetch_cache ?(steps = 4000) ?(seed = 13) () =
   in
   let run label cache capacity =
     let report =
-      Runtime.Fetch.simulate_walk ?cache ~memory:Runtime.Fetch.flash scheme
-        ~initial:0 ~sequence
+      match
+        Runtime.Resilient.simulate ?cache ~memory:Runtime.Fetch.flash scheme
+          ~initial:0 ~sequence
+      with
+      | Ok o -> Option.get o.Runtime.Resilient.fetch
+      | Error f ->
+        failwith ("cache ablation: " ^ Runtime.Resilient.render_failure f)
     in
     let accesses = report.Runtime.Fetch.hits + report.Runtime.Fetch.misses in
     { label;

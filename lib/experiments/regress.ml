@@ -20,6 +20,14 @@ type rule = {
 let default_rules =
   [ { pattern = "moves_per_sec"; direction = Higher_better;
       tolerance_pct = 30. };
+    (* Runtime size curve: the simulator replay and the placer at
+       50/100/200 modules. The 50-module rows run in about a
+       millisecond, so they get more slack than the generic
+       [ms_per_run] rule below (rules match first to last). *)
+    { pattern = "simulate_ms_per_run"; direction = Lower_better;
+      tolerance_pct = 50. };
+    { pattern = "place_ms_per_run"; direction = Lower_better;
+      tolerance_pct = 50. };
     { pattern = "ms_per_run"; direction = Lower_better; tolerance_pct = 30. };
     { pattern = "ns_per_run"; direction = Lower_better; tolerance_pct = 30. };
     { pattern = "speedup"; direction = Higher_better; tolerance_pct = 20. };

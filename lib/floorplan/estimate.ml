@@ -3,40 +3,19 @@ module Tile = Fpga.Tile
 (* Deterministic placeability estimator: a cheap stand-in for a full
    [Placer.place] run, usable as a cost penalty inside the allocation
    search (thousands of evaluations per solve). Instead of the placer's
-   exhaustive rectangle scan it answers with a column-prefix-sum
-   capacity analysis plus a left-to-right full-height strip packing of
-   the demands in a canonical order. The strip packing, when it
+   exhaustive rectangle scan it answers with a per-kind capacity
+   analysis (O(1) [Layout] window counts) plus a left-to-right
+   full-height strip packing of the demands in a canonical order. The strip packing, when it
    succeeds, is itself a valid placement (full-height windows over
    disjoint column ranges), which is what makes the [Placeable] verdict
    sound rather than heuristic. *)
 
-type t = {
-  layout : Layout.t;
-  rows : int;
-  width : int;
-  (* prefix.(k).(c) = columns of kind [k] in [0, c); kinds indexed
-     Clb=0, Bram=1, Dsp=2. *)
-  prefix : int array array;
-}
-
-let kind_index = function Tile.Clb -> 0 | Tile.Bram -> 1 | Tile.Dsp -> 2
+type t = { layout : Layout.t; rows : int; width : int }
 
 let create layout =
-  let width = Layout.width layout in
-  let prefix = Array.init 3 (fun _ -> Array.make (width + 1) 0) in
-  for c = 0 to width - 1 do
-    let k = kind_index (Layout.kind_at layout c) in
-    for i = 0 to 2 do
-      prefix.(i).(c + 1) <- prefix.(i).(c) + (if i = k then 1 else 0)
-    done
-  done;
-  { layout; rows = Layout.rows layout; width; prefix }
+  { layout; rows = Layout.rows layout; width = Layout.width layout }
 
 let layout t = t.layout
-
-let in_window t kind ~first ~width =
-  let p = t.prefix.(kind_index kind) in
-  p.(first + width) - p.(first)
 
 type verdict = Placeable | Crowded | Infeasible
 
@@ -79,9 +58,10 @@ let min_window t ~first (d : Placer.demand) =
   and need_bram = need d.bram_tiles
   and need_dsp = need d.dsp_tiles in
   let satisfies w =
-    in_window t Tile.Clb ~first ~width:w >= need_clb
-    && in_window t Tile.Bram ~first ~width:w >= need_bram
-    && in_window t Tile.Dsp ~first ~width:w >= need_dsp
+    let count kind = Layout.count_in_window t.layout ~first ~width:w kind in
+    count Tile.Clb >= need_clb
+    && count Tile.Bram >= need_bram
+    && count Tile.Dsp >= need_dsp
   in
   let rec search w =
     if first + w > t.width then None
@@ -91,7 +71,9 @@ let min_window t ~first (d : Placer.demand) =
   search (max 1 (need_clb + need_bram + need_dsp))
 
 let weighted_waste t ~first ~width (d : Placer.demand) =
-  let covered kind = t.rows * in_window t kind ~first ~width in
+  let covered kind =
+    t.rows * Layout.count_in_window t.layout ~first ~width kind
+  in
   (covered Tile.Clb - d.clb_tiles)
   + (8 * (covered Tile.Bram - d.bram_tiles))
   + (8 * (covered Tile.Dsp - d.dsp_tiles))
@@ -99,7 +81,9 @@ let weighted_waste t ~first ~width (d : Placer.demand) =
 let assess t demands =
   let ds = canonical demands in
   (* Per-kind capacity: tile deficits that no placement can recover. *)
-  let capacity kind = t.rows * in_window t kind ~first:0 ~width:t.width in
+  let capacity kind =
+    t.rows * Layout.count_in_window t.layout ~first:0 ~width:t.width kind
+  in
   let need_of sel = List.fold_left (fun acc d -> acc + sel d) 0 ds in
   let deficit kind sel = max 0 (need_of sel - capacity kind) in
   let deficit_tiles =
@@ -129,7 +113,9 @@ let assess t demands =
       match min_window t ~first:!cursor d with
       | Some w ->
         waste := !waste + weighted_waste t ~first:!cursor ~width:w d;
-        let covered kind = t.rows * in_window t kind ~first:!cursor ~width:w in
+        let covered kind =
+          t.rows * Layout.count_in_window t.layout ~first:!cursor ~width:w kind
+        in
         scarce_wasted :=
           !scarce_wasted
           + (covered Tile.Bram - d.bram_tiles)

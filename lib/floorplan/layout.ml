@@ -1,7 +1,15 @@
 module Device = Fpga.Device
 module Tile = Fpga.Tile
 
-type t = { device : Device.t; columns : Tile.kind array }
+(* [prefix.(k).(c)]: columns of kind [k] in [0, c), kinds indexed
+   Clb = 0, Bram = 1, Dsp = 2, so a window count is one subtraction. *)
+type t = {
+  device : Device.t;
+  columns : Tile.kind array;
+  prefix : int array array;
+}
+
+let kind_index = function Tile.Clb -> 0 | Tile.Bram -> 1 | Tile.Dsp -> 2
 
 (* Spread [count] special columns evenly over [width] slots, nudging right
    when the ideal slot is already taken. *)
@@ -25,7 +33,15 @@ let make (device : Device.t) =
   let columns =
     Array.map (function Some kind -> kind | None -> Tile.Clb) slots
   in
-  { device; columns }
+  let prefix = Array.init 3 (fun _ -> Array.make (width + 1) 0) in
+  Array.iteri
+    (fun c kind ->
+      let k = kind_index kind in
+      for i = 0 to 2 do
+        prefix.(i).(c + 1) <- prefix.(i).(c) + if i = k then 1 else 0
+      done)
+    columns;
+  { device; columns; prefix }
 
 let device t = t.device
 let rows t = t.device.Device.rows
@@ -41,11 +57,8 @@ let columns_of_kind t kind =
 let count_in_window t ~first ~width:w kind =
   if first < 0 || w < 0 || first + w > width t then
     invalid_arg "Layout.count_in_window: window out of range";
-  let count = ref 0 in
-  for c = first to first + w - 1 do
-    if t.columns.(c) = kind then incr count
-  done;
-  !count
+  let p = t.prefix.(kind_index kind) in
+  p.(first + w) - p.(first)
 
 let pp ppf t =
   Array.iter

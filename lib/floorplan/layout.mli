@@ -19,7 +19,8 @@ val kind_at : t -> int -> Fpga.Tile.kind
 val columns_of_kind : t -> Fpga.Tile.kind -> int list
 
 val count_in_window : t -> first:int -> width:int -> Fpga.Tile.kind -> int
-(** Columns of a kind within [first, first+width).
+(** Columns of a kind within [first, first+width), in O(1) from
+    per-kind column prefix sums built by {!make}.
     @raise Invalid_argument when the window exceeds the device. *)
 
 val pp : Format.formatter -> t -> unit

@@ -157,13 +157,10 @@ let icap_stub =
 
 let top_level ?(initial = 0) (scheme : Scheme.t) =
   let design = scheme.Scheme.design in
-  let resident r =
-    match Scheme.active_partition scheme ~config:initial ~region:r with
-    | Some p -> p
-    | None -> List.hd (Scheme.region_members scheme r)
-  in
   let region_items r =
-    let bp = scheme.Scheme.partitions.(resident r) in
+    let bp =
+      scheme.Scheme.partitions.(Scheme.initial_resident scheme ~initial r)
+    in
     let w suffix width =
       Wire { wire_name = Printf.sprintf "prr%d_%s" r suffix; width }
     in

@@ -123,51 +123,6 @@ type report = {
   total_seconds : float;
 }
 
-let simulate_walk ?(icap = Fpga.Icap.default) ?cache ~memory scheme ~initial
-    ~sequence =
-  let reconfigurations = ref 0 in
-  let hits = ref 0 in
-  let misses = ref 0 in
-  let icap_time = ref 0. in
-  let fetch_time = ref 0. in
-  let trace (event : Manager.event) =
-    List.iter
-      (fun region ->
-        incr reconfigurations;
-        let frames = Prcore.Scheme.region_frames scheme region in
-        icap_time := !icap_time +. Fpga.Icap.seconds_of_frames icap frames;
-        let partition =
-          match
-            Prcore.Scheme.active_partition scheme ~config:event.Manager.to_config
-              ~region
-          with
-          | Some p -> p
-          | None -> -1
-        in
-        let stall =
-          match cache with
-          | None -> fetch_seconds memory ~frames
-          | Some cache ->
-            let a = access cache memory ~key:(region, partition) ~frames in
-            if a.hit then incr hits else incr misses;
-            a.seconds
-        in
-        (match cache with
-         | None -> incr misses
-         | Some _ -> ());
-        fetch_time := !fetch_time +. stall)
-      event.Manager.regions_reconfigured
-  in
-  let (_ : Manager.stats) =
-    Manager.simulate ~icap ~trace scheme ~initial ~sequence
-  in
-  { reconfigurations = !reconfigurations;
-    hits = !hits;
-    misses = !misses;
-    icap_seconds = !icap_time;
-    fetch_seconds = !fetch_time;
-    total_seconds = !icap_time +. !fetch_time }
-
 let render r =
   Printf.sprintf
     "%d region reloads (%d cache hits, %d misses): %.3f ms ICAP + %.3f ms \

@@ -65,6 +65,10 @@ val stats : cache -> int * int
 
 (** {1 Walk-level accounting} *)
 
+(** The fetch-path totals {!Resilient.simulate} reports for a walk when
+    it is given a [memory]: every region reload fetches its bitstream
+    (through the cache when one is given) before streaming it to the
+    ICAP. *)
 type report = {
   reconfigurations : int;
   hits : int;
@@ -73,17 +77,5 @@ type report = {
   fetch_seconds : float;  (** External-memory stall time (misses only). *)
   total_seconds : float;
 }
-
-val simulate_walk :
-  ?icap:Fpga.Icap.t ->
-  ?cache:cache ->
-  memory:memory ->
-  Prcore.Scheme.t ->
-  initial:int ->
-  sequence:int list ->
-  report
-(** Replay an adaptation walk like {!Manager.simulate}, adding fetch
-    stalls: every region reload fetches its bitstream (through the cache
-    when one is given) before streaming it to the ICAP. *)
 
 val render : report -> string

@@ -1,6 +1,3 @@
-module Scheme = Prcore.Scheme
-module Design = Prdesign.Design
-
 type event = {
   step : int;
   from_config : int;
@@ -19,113 +16,6 @@ type stats = {
   mean_frames : float;
   region_loads : int array;
 }
-
-(* What the initial full bitstream leaves in region [r]: the active
-   partition when configuration [initial] uses the region, else the
-   region's first-listed partition (the fabric must hold something).
-   Shared with Resilient.simulate so both runtimes agree bit-for-bit. *)
-let initial_resident (scheme : Scheme.t) ~initial r =
-  match Scheme.active_partition scheme ~config:initial ~region:r with
-  | Some p -> p
-  | None -> (
-    match Scheme.region_members scheme r with
-    | p :: _ -> p
-    | [] ->
-      invalid_arg
-        (Printf.sprintf
-           "Manager.simulate: region %d has no member partitions (invalid \
-            scheme)"
-           r))
-
-let simulate ?(icap = Fpga.Icap.default) ?(trace = fun _ -> ())
-    ?(telemetry = Prtelemetry.null) (scheme : Scheme.t) ~initial ~sequence =
-  let configs = Design.configuration_count scheme.Scheme.design in
-  Prtelemetry.with_span telemetry "runtime.simulate"
-    ~attrs:
-      [ ( "design",
-          Prtelemetry.Json.String scheme.Scheme.design.Design.name );
-        ("steps", Prtelemetry.Json.Int (List.length sequence)) ]
-  @@ fun () ->
-  let step_counter = Prtelemetry.counter telemetry "runtime.steps" in
-  let transition_counter =
-    Prtelemetry.counter telemetry "runtime.transitions"
-  in
-  let frame_counter = Prtelemetry.counter telemetry "runtime.frames" in
-  let check what c =
-    if c < 0 || c >= configs then
-      invalid_arg
-        (Printf.sprintf
-           "Manager.simulate: %s configuration %d out of range [0, %d)" what c
-           configs)
-  in
-  check "initial" initial;
-  List.iter (check "sequence") sequence;
-  let regions = scheme.Scheme.region_count in
-  (* The initial full bitstream configures every region: regions the
-     initial configuration uses hold their active partition, idle regions
-     hold their first-listed partition (some content must be there). *)
-  let resident = Array.init regions (initial_resident scheme ~initial) in
-  let region_loads = Array.make regions 0 in
-  let current = ref initial in
-  let step = ref 0 in
-  let transitions = ref 0 in
-  let total_frames = ref 0 in
-  let total_seconds = ref 0. in
-  let max_frames = ref 0 in
-  List.iter
-    (fun target ->
-      incr step;
-      Prtelemetry.Counter.incr step_counter;
-      let reconfigured = ref [] in
-      let frames = ref 0 in
-      if target <> !current then begin
-        incr transitions;
-        Prtelemetry.Counter.incr transition_counter;
-        for r = regions - 1 downto 0 do
-          match Scheme.active_partition scheme ~config:target ~region:r with
-          | None -> ()  (* content is a don't-care: keep the old bitstream *)
-          | Some needed ->
-            if resident.(r) <> needed then begin
-              resident.(r) <- needed;
-              region_loads.(r) <- region_loads.(r) + 1;
-              reconfigured := r :: !reconfigured;
-              frames := !frames + Scheme.region_frames scheme r
-            end
-        done
-      end;
-      let seconds = Fpga.Icap.seconds_of_frames icap !frames in
-      total_frames := !total_frames + !frames;
-      total_seconds := !total_seconds +. seconds;
-      if !frames > !max_frames then max_frames := !frames;
-      Prtelemetry.Counter.incr frame_counter ~by:!frames;
-      if Prtelemetry.tracing telemetry && target <> !current then
-        Prtelemetry.point telemetry "runtime.transition"
-          ~attrs:
-            [ ("step", Prtelemetry.Json.Int !step);
-              ("from", Prtelemetry.Json.Int !current);
-              ("to", Prtelemetry.Json.Int target);
-              ( "regions",
-                Prtelemetry.Json.Int (List.length !reconfigured) );
-              ("frames", Prtelemetry.Json.Int !frames) ];
-      trace
-        { step = !step;
-          from_config = !current;
-          to_config = target;
-          regions_reconfigured = !reconfigured;
-          frames = !frames;
-          seconds };
-      current := target)
-    sequence;
-  Prtelemetry.set_gauge telemetry "runtime.total_seconds" !total_seconds;
-  { steps = !step;
-    transitions = !transitions;
-    total_frames = !total_frames;
-    total_seconds = !total_seconds;
-    max_frames = !max_frames;
-    mean_frames =
-      (if !transitions = 0 then 0.
-       else float_of_int !total_frames /. float_of_int !transitions);
-    region_loads }
 
 let random_walk ~rand ~configs ~steps ~initial =
   if configs < 2 then invalid_arg "Manager.random_walk: need >= 2 configurations";

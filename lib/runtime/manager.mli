@@ -1,9 +1,10 @@
-(** Configuration-manager simulation: replay an adaptation sequence over a
-    partitioned system, tracking actual region contents (a region keeps
-    its bitstream while unused, so a reconfiguration happens only when an
-    incoming configuration needs a {e different} resident than the one
-    physically loaded). This is the stateful ground truth against which
-    the paper's pairwise metric is a proxy. *)
+(** Configuration-manager vocabulary: the per-step event and the walk
+    statistics that {!Resilient.simulate} reports, and the random
+    adaptation walk it replays. The replay tracks actual region contents
+    (a region keeps its bitstream while unused, so a reconfiguration
+    happens only when an incoming configuration needs a {e different}
+    resident than the one physically loaded): the stateful ground truth
+    against which the paper's pairwise metric is a proxy. *)
 
 type event = {
   step : int;
@@ -24,41 +25,11 @@ type stats = {
   region_loads : int array;  (** Reconfiguration count per region. *)
 }
 
-val initial_resident : Prcore.Scheme.t -> initial:int -> int -> int
-(** The partition the initial full bitstream leaves in a region: the
-    active partition when [initial] uses the region, else the region's
-    first-listed partition. {!Resilient.simulate} shares this rule so
-    both runtimes start from identical fabric state.
-    @raise Invalid_argument on a region with no member partitions (a
-    scheme that {!Prcore.Scheme.make} would reject). *)
-
-val simulate :
-  ?icap:Fpga.Icap.t ->
-  ?trace:(event -> unit) ->
-  ?telemetry:Prtelemetry.t ->
-  Prcore.Scheme.t ->
-  initial:int ->
-  sequence:int list ->
-  stats
-(** Start in configuration [initial] (its full bitstream is not counted;
-    regions the initial configuration does not use are deemed to hold
-    their first-listed partition, since the full bitstream configures the
-    whole fabric) and visit [sequence] in order. [trace] observes each
-    step. @raise Invalid_argument on an out-of-range [initial] or
-    [sequence] configuration index (both validated up front, with the
-    offending index named) or a region with no member partitions.
-
-    [telemetry] (default {!Prtelemetry.null}, free): a
-    ["runtime.simulate"] span; ["runtime.steps"],
-    ["runtime.transitions"] and ["runtime.frames"] counters; a
-    ["runtime.total_seconds"] gauge; and a ["runtime.transition"] trace
-    event per configuration change (when tracing). *)
-
 val random_walk :
   rand:(int -> int) -> configs:int -> steps:int -> initial:int -> int list
 (** A uniform random adaptation sequence avoiding self-transitions;
     [rand n] must return a uniform value in [0, n). Suitable as
-    [simulate]'s [sequence]. @raise Invalid_argument when [configs < 2],
-    [steps < 0] or [initial] is out of range. *)
+    {!Resilient.simulate}'s [sequence]. @raise Invalid_argument when
+    [configs < 2], [steps < 0] or [initial] is out of range. *)
 
 val pp_stats : Format.formatter -> stats -> unit

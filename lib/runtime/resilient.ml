@@ -68,7 +68,7 @@ let simulate ?(icap = Fpga.Icap.default) ?memory ?cache ?(trace = fun _ -> ())
     | None -> initial
   in
   let injector = Injector.start fault.spec in
-  Prtelemetry.with_span telemetry "runtime.resilient"
+  Prtelemetry.with_span telemetry "runtime.simulate"
     ~attrs:
       [ ("design", Prtelemetry.Json.String scheme.Scheme.design.Design.name);
         ("steps", Prtelemetry.Json.Int (List.length sequence));
@@ -84,9 +84,10 @@ let simulate ?(icap = Fpga.Icap.default) ?memory ?cache ?(trace = fun _ -> ())
   let dropped_c = Prtelemetry.counter telemetry "fault.dropped_transitions" in
   let fallback_c = Prtelemetry.counter telemetry "fault.fallbacks" in
   let regions = scheme.Scheme.region_count in
-  let resident = Array.init regions (Manager.initial_resident scheme ~initial) in
+  let region_frames = scheme.Scheme.frames in
+  let resident = Array.init regions (Scheme.initial_resident scheme ~initial) in
   let rel = Reliability.create ~regions in
-  (* Manager-style logical accounting. *)
+  (* Logical accounting: each successful region load counted once. *)
   let region_loads = Array.make regions 0 in
   let current = ref initial in
   let step = ref 0 in
@@ -94,7 +95,8 @@ let simulate ?(icap = Fpga.Icap.default) ?memory ?cache ?(trace = fun _ -> ())
   let total_frames = ref 0 in
   let total_seconds = ref 0. in
   let max_frames = ref 0 in
-  (* Fetch-style physical accounting (mirrors Fetch.simulate_walk). *)
+  (* Physical accounting: fetch stalls and ICAP time, failed attempts
+     included. *)
   let reconfigurations = ref 0 in
   let hits = ref 0 in
   let misses = ref 0 in
@@ -156,7 +158,7 @@ let simulate ?(icap = Fpga.Icap.default) ?memory ?cache ?(trace = fun _ -> ())
   in
   (* The resilient load loop for one region: fetch, program, recover. *)
   let load_region ~step r needed ~elapsed =
-    let frames = Scheme.region_frames scheme r in
+    let frames = region_frames.(r) in
     let key = (r, needed) in
     let rec attempt n ~faulted =
       let stall, external_fetch = fetch_stall key frames in
@@ -232,20 +234,20 @@ let simulate ?(icap = Fpga.Icap.default) ?memory ?cache ?(trace = fun _ -> ())
           resident.(r) <- needed;
           region_loads.(r) <- region_loads.(r) + 1;
           reconfigured := r :: !reconfigured;
-          step_frames := !step_frames + Scheme.region_frames scheme r
+          step_frames := !step_frames + region_frames.(r)
         in
         if target <> !current then begin
           incr transitions;
           Prtelemetry.Counter.incr transition_c;
           (* Bring every region the target uses up to date, in ascending
-             order (the order Fetch.simulate_walk replays). *)
+             order. An idle region keeps its old bitstream. *)
+          let wanted = scheme.Scheme.resident.(target) in
           let rec go r =
             if r >= regions then `Done
             else
-              match Scheme.active_partition scheme ~config:target ~region:r with
-              | None -> go (r + 1)
-              | Some needed when resident.(r) = needed -> go (r + 1)
-              | Some needed -> (
+              let needed = wanted.(r) in
+              if needed < 0 || resident.(r) = needed then go (r + 1)
+              else (
                 match load_region ~step:!step r needed ~elapsed with
                 | `Loaded ->
                   loaded r needed;
@@ -272,16 +274,15 @@ let simulate ?(icap = Fpga.Icap.default) ?memory ?cache ?(trace = fun _ -> ())
                reloaded whenever next needed. *)
             Reliability.record_fallback rel;
             Prtelemetry.Counter.incr fallback_c;
+            let wanted = scheme.Scheme.resident.(safe) in
             for r = 0 to regions - 1 do
-              match Scheme.active_partition scheme ~config:safe ~region:r with
-              | None -> ()
-              | Some needed when resident.(r) = needed -> ()
-              | Some needed -> (
+              let needed = wanted.(r) in
+              if needed >= 0 && resident.(r) <> needed then
                 match load_region ~step:!step r needed ~elapsed with
                 | `Loaded -> loaded r needed
                 | `Gave_up _ ->
                   Reliability.record_failed_load rel;
-                  resident.(r) <- corrupt)
+                  resident.(r) <- corrupt
             done;
             current := safe
         end;

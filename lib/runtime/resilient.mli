@@ -1,5 +1,8 @@
-(** Fault-tolerant configuration-manager simulation: {!Manager.simulate}
-    extended with a fallible fetch/program path driven by a
+(** The reconfiguration simulator: replay an adaptation sequence over a
+    partitioned system, tracking actual region contents (a region keeps
+    its bitstream while idle, so a reconfiguration happens only when an
+    incoming configuration needs a {e different} resident than the one
+    physically loaded), with a fallible fetch/program path driven by a
     {!Prfault.Injector} and a bounded-retry recovery loop.
 
     Every region load becomes a loop of (fetch the partial bitstream,
@@ -14,11 +17,11 @@
     the adaptation step, or degrading to a designated safe
     configuration.
 
-    {b Equivalence guarantee}: with an inactive injector the simulation
-    reproduces {!Manager.simulate}'s statistics and (when [memory] is
-    given) {!Fetch.simulate_walk}'s report {e bit-for-bit} — identical
-    integers and identical floats, because the arithmetic runs in the
-    same order. The fault machinery only ever adds accounting on top.
+    {b Fault-free replay}: with an inactive injector (the default) no
+    load fails, so the run always returns [Ok] and its statistics are
+    the plain stateful replay: the fault machinery only ever adds
+    accounting on top. Every step reads the scheme's resident table
+    ({!Prcore.Scheme.t}), so a step costs O(regions).
 
     {b Determinism}: all randomness (fault draws, backoff jitter)
     derives from [fault.spec.seed], so two runs of the same scenario
@@ -41,8 +44,8 @@ val default_config : config
 type outcome = {
   stats : Manager.stats;
       (** Logical adaptation accounting — each region load counted once
-          on success, like {!Manager.simulate}. Dropped steps contribute
-          nothing; safe-config fallback loads do count. *)
+          on success. Dropped steps contribute nothing; safe-config
+          fallback loads do count. *)
   fetch : Fetch.report option;
       (** Physical fetch/ICAP accounting when [memory] was given:
           includes the time burnt by failed attempts, while
@@ -77,14 +80,16 @@ val simulate :
   initial:int ->
   sequence:int list ->
   (outcome, failure) result
-(** Replay [sequence] from [initial] under fault injection.
+(** Start in configuration [initial] (its full bitstream is not
+    counted; idle regions hold {!Prcore.Scheme.initial_resident}) and
+    visit [sequence] in order, under fault injection.
 
     Without [memory] the external fetch path is not modelled: no fetch
     operations are drawn (only programming faults apply) and
     [outcome.fetch] is [None]. [cache] is only consulted when [memory]
     is present.
 
-    [trace] observes every step like {!Manager.simulate}; the event's
+    [trace] observes every step; the event's
     [to_config] is the {e requested} target even when the step is
     dropped or degraded, and [regions_reconfigured]/[frames] cover the
     successful loads only.
@@ -93,13 +98,15 @@ val simulate :
     policies; [Skip_transition] and [Fallback_safe_config] always
     complete.
 
-    [telemetry] (default {!Prtelemetry.null}): a ["runtime.resilient"]
-    span; ["runtime.steps"], ["runtime.transitions"],
+    [telemetry] (default {!Prtelemetry.null}): a ["runtime.simulate"]
+    span with the recovery policy as its ["policy"] attribute;
+    ["runtime.steps"], ["runtime.transitions"],
     ["runtime.frames"], ["fault.injected"], ["fault.retries"],
     ["fault.recovered"], ["fault.dropped_transitions"] and
     ["fault.fallbacks"] counters; ["fault.added_seconds"] and
-    ["fault.mttr_seconds"] gauges; and a ["fault.inject"] trace point
-    per injected fault (when tracing).
+    ["fault.mttr_seconds"] gauges; a ["runtime.total_seconds"] gauge;
+    and, when tracing, a ["runtime.transition"] point per configuration
+    change and a ["fault.inject"] point per injected fault.
 
     @raise Invalid_argument on out-of-range configuration indices
     (including [fault.safe_config]) or an invalid injector/retry

@@ -41,17 +41,10 @@ let of_markov design ~chain ~rand ~steps ~initial =
     initial;
     sequence = build initial steps [] }
 
-let simulate ?icap ?telemetry scheme trace =
+let simulate ?icap ?memory ?cache ?telemetry ?fault scheme trace =
   let design = scheme.Prcore.Scheme.design in
   if design.Design.name <> trace.design_name then
     invalid_arg "Trace.simulate: trace belongs to a different design";
-  Manager.simulate ?icap ?telemetry scheme ~initial:trace.initial
-    ~sequence:trace.sequence
-
-let simulate_resilient ?icap ?memory ?cache ?telemetry ?fault scheme trace =
-  let design = scheme.Prcore.Scheme.design in
-  if design.Design.name <> trace.design_name then
-    invalid_arg "Trace.simulate_resilient: trace belongs to a different design";
   Resilient.simulate ?icap ?memory ?cache ?telemetry ?fault scheme
     ~initial:trace.initial ~sequence:trace.sequence
 

@@ -42,17 +42,6 @@ val of_markov :
 
 val simulate :
   ?icap:Fpga.Icap.t ->
-  ?telemetry:Prtelemetry.t ->
-  Prcore.Scheme.t ->
-  t ->
-  Manager.stats
-(** Replay the trace on a scheme; [telemetry] is passed through to
-    {!Manager.simulate}.
-    @raise Invalid_argument when the trace's design name differs from the
-    scheme's design. *)
-
-val simulate_resilient :
-  ?icap:Fpga.Icap.t ->
   ?memory:Fetch.memory ->
   ?cache:Fetch.cache ->
   ?telemetry:Prtelemetry.t ->
@@ -60,7 +49,9 @@ val simulate_resilient :
   Prcore.Scheme.t ->
   t ->
   (Resilient.outcome, Resilient.failure) result
-(** Replay the trace under fault injection ({!Resilient.simulate}).
+(** Replay the trace on a scheme with {!Resilient.simulate}; the
+    optional arguments are passed through (no [fault]: an inactive
+    injector, so the replay cannot fail).
     @raise Invalid_argument when the trace's design name differs from
     the scheme's design. *)
 

@@ -452,6 +452,16 @@ let demand_volume (d : Floorplan.Placer.demand) =
   d.Floorplan.Placer.clb_tiles + d.Floorplan.Placer.bram_tiles
   + d.Floorplan.Placer.dsp_tiles
 
+(* Columns of [kind] in [first, first+w), counted one column at a time
+   with [Layout.kind_at]: the oracle's own window count, independent of
+   the prefix sums behind [Layout.count_in_window]. *)
+let count_columns layout kind ~first ~w =
+  let count = ref 0 in
+  for c = first to first + w - 1 do
+    if Floorplan.Layout.kind_at layout c = kind then incr count
+  done;
+  !count
+
 let label_of_demand regions i =
   if i < regions then Printf.sprintf "PRR%d" (i + 1) else "static"
 
@@ -510,9 +520,8 @@ let check_floorplan ~layout ~demands placements =
       else begin
         let covered kind =
           rect.Floorplan.Placer.height
-          * Floorplan.Layout.count_in_window layout
-              ~first:rect.Floorplan.Placer.col
-              ~width:rect.Floorplan.Placer.width kind
+          * count_columns layout kind ~first:rect.Floorplan.Placer.col
+              ~w:rect.Floorplan.Placer.width
         in
         List.iter
           (fun (kind, need) ->
@@ -556,15 +565,13 @@ let check_floorplan ~layout ~demands placements =
    counts), per-kind capacity deficits, per-demand possibility on the
    empty fabric, and the left-to-right full-height strip packing with
    8x-weighted BRAM/DSP waste. Deliberately written against direct
-   [Layout] column scans — no prefix sums, no shared code with the
-   estimator — so any drift in either implementation surfaces as a
+   column scans ([count_columns]) — no prefix sums, no shared code with
+   the estimator — so any drift in either implementation surfaces as a
    V-FLP-006 mismatch. *)
 let derive_placement_penalty ~layout (s : Scheme.t) =
   let rows = Floorplan.Layout.rows layout in
   let fabric_width = Floorplan.Layout.width layout in
-  let count kind ~first ~w =
-    Floorplan.Layout.count_in_window layout ~first ~width:w kind
-  in
+  let count = count_columns layout in
   let ds =
     derive_demands s |> Array.to_list
     |> List.filter (fun d -> demand_volume d > 0)

