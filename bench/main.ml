@@ -597,33 +597,44 @@ let huge_design =
   lazy (Synth.Generator.huge ~seed:huge_seed ~modules:huge_modules ())
 
 type ml_report = {
-  mr_ms : float;  (* end-to-end Engine.solve wall time *)
+  mr_ms : float;  (* end-to-end Engine.solve wall time, best of three *)
   mr_total : int;
   mr_feasible : bool;
   mr_oracle_clean : bool;
   mr_stats : Prcore.Multilevel.stats;
 }
 
+let best_ms reps f =
+  let best = ref infinity and result = ref None in
+  for _ = 1 to reps do
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    best := Float.min !best (1000. *. (Unix.gettimeofday () -. t0));
+    result := Some r
+  done;
+  (!best, Option.get !result)
+
 (* The headline Prscale run: the seeded 200-module huge design solved
-   end-to-end through the engine with [strategy = Multilevel], checked
-   feasible and oracle-clean, plus one direct [allocate_stats] pass for
-   the V-cycle statistics (deterministic, so both runs see the same
-   search). *)
+   end-to-end through the engine with [strategy = Multilevel], timed as
+   the best of three like the size curve so one slow round on a loaded
+   host does not trip the regression rule, checked feasible and
+   oracle-clean, plus one direct [allocate_stats] pass for the V-cycle
+   statistics (deterministic, so both runs see the same search). *)
 let multilevel_huge_run () =
   let design = Lazy.force huge_design in
   let budget = huge_budget design in
-  let t0 = Unix.gettimeofday () in
+  let ms, outcome =
+    best_ms 3 (fun () ->
+        Prcore.Engine.solve ~strategy:Prcore.Strategy.Multilevel
+          ~target:(Prcore.Engine.Budget budget) design)
+  in
   let outcome =
-    match
-      Prcore.Engine.solve ~strategy:Prcore.Strategy.Multilevel
-        ~target:(Prcore.Engine.Budget budget) design
-    with
+    match outcome with
     | Ok o -> o
     | Error m ->
       Printf.printf "BENCH FAILED: multilevel huge solve: %s\n" m;
       exit 1
   in
-  let ms = 1000. *. (Unix.gettimeofday () -. t0) in
   let feasible =
     Prcore.Cost.fits outcome.Prcore.Engine.evaluation
       ~budget:outcome.Prcore.Engine.budget
@@ -655,16 +666,6 @@ type ml_size = {
   ms_solve_ms : float;
   ms_total : int;
 }
-
-let best_ms reps f =
-  let best = ref infinity and result = ref None in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    best := Float.min !best (1000. *. (Unix.gettimeofday () -. t0));
-    result := Some r
-  done;
-  (!best, Option.get !result)
 
 let multilevel_size_curve () =
   List.map

@@ -64,15 +64,17 @@ let deficit ~budget (used : Resource.t) =
       bram = over used.bram budget.Resource.bram;
       dsp = over used.dsp budget.Resource.dsp }
 
-(* Incremental energy engine. A move reassigns one partition to another
-   region (or static), so only the source and destination regions can
-   change: their contributions are recomputed and everything else —
-   total frames, resource usage, validity — is maintained as exact
-   integer sums, guaranteeing bit-identical energies to a from-scratch
-   evaluation. [propose] computes the candidate energy without touching
-   any cache (a rejected move therefore costs nothing to undo: restore
-   one placement cell, O(1)); [commit] installs the already-computed
-   region snapshots.
+(* Incremental energy engine. A move reassigns a unit — one or more
+   partitions sharing a region — to another region (or static), so only
+   the source and destination regions can change: their contributions
+   are recomputed and everything else — total frames, resource usage,
+   validity — is maintained as exact integer sums, guaranteeing
+   bit-identical energies to a from-scratch evaluation. Each region's
+   members are indexed, so re-scoring a region visits its members only.
+   [propose_unit] computes the candidate energy without touching any
+   cache (a rejected move therefore costs nothing to undo);
+   [commit_unit] installs the already-computed region snapshots. The
+   single-partition entry points are the one-member case.
 
    Energy of a placement: total reconfiguration frames plus a soft
    penalty per frame-equivalent of budget overrun — steep enough that
@@ -88,7 +90,7 @@ module Energy = struct
   }
 
   type pending = {
-    p_part : int;
+    p_parts : int array;
     p_target : int;
     src : snapshot;  (* new state of the source region (if any) *)
     dst : snapshot;  (* new state of the target region (if any) *)
@@ -106,7 +108,10 @@ module Energy = struct
     resources : Resource.t array;  (* per partition *)
     activity : bool array array;  (* partition -> config -> active *)
     placement : int array;  (* committed state; -1 = static *)
+    members : int array array;
+        (* region id -> its committed partitions, ascending *)
     regions : snapshot array;  (* indexed by region id, 0 .. n-1 *)
+    column : int array;  (* [eval] scratch, one slot per configuration *)
     penalty_fn : (Resource.t array -> int) option;
         (* placement-awareness hook: integer placeability penalty of
            the per-region demand array (regions then static last) *)
@@ -121,28 +126,24 @@ module Energy = struct
   let empty_snapshot =
     { contribution = 0; quantized = Resource.zero; collided = false }
 
-  (* Recompute one region from scratch, with partition [part] virtually
-     reassigned to [target] (pass [part = -1] for the committed
-     state). O(members * configs + configs^2) for the affected region
-     only. *)
-  let eval_region t r ~part ~target =
-    let column = Array.make t.configs (-1) in
+  (* Score one region from its members, which [iter] must visit in
+     ascending partition order: a configuration's column keeps its
+     first claimer, so the contribution of a collided region depends on
+     that order. O(members * configs + configs^2). *)
+  let eval t iter =
+    let column = t.column in
+    Array.fill column 0 t.configs (-1);
     let collided = ref false in
     let resources = ref Resource.zero in
     let occupied = ref 0 in
-    let n = Array.length t.placement in
-    for p = 0 to n - 1 do
-      let home = if p = part then target else t.placement.(p) in
-      if home = r then begin
+    iter (fun p ->
         incr occupied;
         resources := Resource.max !resources t.resources.(p);
         let act = t.activity.(p) in
         for c = 0 to t.configs - 1 do
           if act.(c) then
             if column.(c) >= 0 then collided := true else column.(c) <- p
-        done
-      end
-    done;
+        done);
     if !occupied = 0 then empty_snapshot
     else begin
       let conflicts = ref 0 in
@@ -158,6 +159,36 @@ module Energy = struct
         quantized = Tile.quantize !resources;
         collided = !collided }
     end
+
+  (* Ascending walks over a region's members with a sorted unit taken
+     out of, or merged into, them. *)
+  let iter_without members unit f =
+    let k = Array.length unit in
+    let j = ref 0 in
+    Array.iter
+      (fun p ->
+        while !j < k && unit.(!j) < p do incr j done;
+        if not (!j < k && unit.(!j) = p) then f p)
+      members
+
+  let iter_with members unit f =
+    let m = Array.length members and k = Array.length unit in
+    let i = ref 0 and j = ref 0 in
+    while !i < m || !j < k do
+      if !j >= k || (!i < m && members.(!i) < unit.(!j)) then begin
+        f members.(!i);
+        incr i
+      end
+      else begin
+        f unit.(!j);
+        incr j
+      end
+    done
+
+  let collect iter =
+    let out = ref [] in
+    iter (fun p -> out := p :: !out);
+    Array.of_list (List.rev !out)
 
   (* The placeability penalty joins the objective exactly like extra
      frames: the energy and the comparison total both carry
@@ -192,13 +223,20 @@ module Energy = struct
   let create ?penalty ~budget ~static_overhead ~resources ~activity placement =
     let n = Array.length placement in
     let configs = if n = 0 then 0 else Array.length activity.(0) in
+    let lists = Array.make n [] in
+    for p = n - 1 downto 0 do
+      let r = placement.(p) in
+      if r >= 0 then lists.(r) <- p :: lists.(r)
+    done;
     let t =
       { budget;
         configs;
         resources;
         activity;
         placement = Array.copy placement;
+        members = Array.map Array.of_list lists;
         regions = Array.make n empty_snapshot;
+        column = Array.make configs (-1);
         penalty_fn = penalty;
         static_res = static_overhead;
         used = Resource.zero;
@@ -212,7 +250,7 @@ module Energy = struct
         if r = -1 then t.static_res <- Resource.add t.static_res resources.(p))
       t.placement;
     for r = 0 to n - 1 do
-      let s = eval_region t r ~part:(-1) ~target:(-1) in
+      let s = eval t (fun f -> Array.iter f t.members.(r)) in
       t.regions.(r) <- s;
       t.total <- t.total + s.contribution;
       if s.collided then t.invalid <- t.invalid + 1
@@ -230,20 +268,41 @@ module Energy = struct
 
   let placement t = Array.copy t.placement
 
-  let propose t ~part ~target =
-    let old = t.placement.(part) in
+  (* The region every member of [parts] sits in; rejects an empty,
+     unsorted or split unit. *)
+  let source t parts =
+    if Array.length parts = 0 then invalid_arg "Energy: empty unit";
+    let old = t.placement.(parts.(0)) in
+    Array.iteri
+      (fun i p ->
+        if i > 0 && parts.(i - 1) >= p then
+          invalid_arg "Energy: unit not strictly ascending";
+        if t.placement.(p) <> old then
+          invalid_arg "Energy: unit spans several regions")
+      parts;
+    old
+
+  let propose_unit t ~parts ~target =
+    let old = source t parts in
     if old = target then current t
     else begin
-      let res = t.resources.(part) in
+      let res =
+        Array.fold_left (fun acc p -> Resource.add acc t.resources.(p))
+          Resource.zero parts
+      in
       let static_res =
         if old = -1 then Resource.sub t.static_res res
         else if target = -1 then Resource.add t.static_res res
         else t.static_res
       in
-      let reeval r =
-        if r < 0 then empty_snapshot else eval_region t r ~part ~target
+      let src =
+        if old < 0 then empty_snapshot
+        else eval t (iter_without t.members.(old) parts)
       in
-      let src = reeval old and dst = reeval target in
+      let dst =
+        if target < 0 then empty_snapshot
+        else eval t (iter_with t.members.(target) parts)
+      in
       let swap_contribution acc r fresh =
         if r < 0 then acc
         else acc - t.regions.(r).contribution + fresh.contribution
@@ -285,7 +344,7 @@ module Energy = struct
       in
       t.pending <-
         Some
-          { p_part = part;
+          { p_parts = parts;
             p_target = target;
             src;
             dst;
@@ -298,31 +357,44 @@ module Energy = struct
       triple
     end
 
-  let commit t ~part ~target =
-    let old = t.placement.(part) in
+  let commit_unit t ~parts ~target =
+    let old = source t parts in
     if old <> target then begin
       let pending =
         match t.pending with
-        | Some p when p.p_part = part && p.p_target = target -> p
+        | Some p
+          when p.p_target = target && (p.p_parts == parts || p.p_parts = parts)
+          ->
+          p
         | Some _ | None ->
           (* No matching proposal (e.g. the evaluation came from the
              transposition table): compute the snapshots now. *)
-          ignore (propose t ~part ~target);
+          ignore (propose_unit t ~parts ~target);
           (match t.pending with Some p -> p | None -> assert false)
       in
-      if old >= 0 then t.regions.(old) <- pending.src;
-      if target >= 0 then t.regions.(target) <- pending.dst;
+      if old >= 0 then begin
+        t.regions.(old) <- pending.src;
+        t.members.(old) <- collect (iter_without t.members.(old) parts)
+      end;
+      if target >= 0 then begin
+        t.regions.(target) <- pending.dst;
+        t.members.(target) <- collect (iter_with t.members.(target) parts)
+      end;
       t.static_res <- pending.p_static;
       t.used <- pending.p_used;
       t.total <- pending.p_total;
       t.invalid <- pending.p_invalid;
       t.pen <- pending.p_pen;
-      t.placement.(part) <- target
+      Array.iter (fun p -> t.placement.(p) <- target) parts
     end;
     t.pending <- None
 
+  let propose t ~part ~target = propose_unit t ~parts:[| part |] ~target
+  let commit t ~part ~target = commit_unit t ~parts:[| part |] ~target
+
   (* From-scratch reference evaluation of the committed placement — the
-     oracle the incremental sums are property-tested against. *)
+     oracle the incremental sums are property-tested against. It finds
+     each region's members by scanning the placement, not the index. *)
   let from_scratch t =
     let n = Array.length t.placement in
     let static_res = ref Resource.zero in
@@ -335,7 +407,10 @@ module Energy = struct
     let invalid = ref 0 in
     let snapshots = Array.make n empty_snapshot in
     for r = 0 to n - 1 do
-      let s = eval_region t r ~part:(-1) ~target:(-1) in
+      let s =
+        eval t (fun f ->
+            Array.iteri (fun p home -> if home = r then f p) t.placement)
+      in
       snapshots.(r) <- s;
       used := Resource.add !used s.quantized;
       total := !total + s.contribution;

@@ -44,7 +44,9 @@ val allocate :
     engine's degradation ladder derives from a rung's eval cap.
 
     Move evaluation is {e incremental}: a move reassigns one partition,
-    so only the source and destination regions are re-scored and the
+    so only the source and destination regions are re-scored (visiting
+    their members through a per-region index, never the whole
+    placement) and the
     global sums (total frames, quantized usage, validity) are maintained
     as exact integers — the resulting energies are bit-identical to a
     from-scratch evaluation, preserving the acceptance trajectory of the
@@ -59,11 +61,12 @@ val allocate :
     counters; and an ["anneal.best"] trajectory event per improvement
     (when tracing). *)
 
-(** Incremental energy engine, exposed for the Prspeed property tests:
-    drive arbitrary propose/commit sequences (including rejected moves,
-    which cost nothing to undo) and check the incrementally maintained
-    sums against {!Energy.from_scratch}. Not a stable API for production
-    callers — use {!allocate}. *)
+(** Incremental energy engine, shared with {!Multilevel} refinement and
+    exposed for the Prspeed property tests: drive arbitrary
+    propose/commit sequences of single partitions and whole units
+    (including rejected moves, which cost nothing to undo) and check
+    the incrementally maintained sums against {!Energy.from_scratch}.
+    Not a stable API for other callers — use {!allocate}. *)
 module Energy : sig
   type t
 
@@ -93,21 +96,37 @@ module Energy : sig
       region active in the same configuration) evaluate to
       [(infinity, false, max_int)]. *)
 
+  val propose_unit : t -> parts:int array -> target:int -> float * bool * int
+  (** Candidate evaluation of moving the unit [parts] — one or more
+      partitions in strictly ascending order, all in one region or all
+      static — to [target] without committing. The committed state is
+      untouched, so rejecting the move requires no undo work. Costs
+      O(k + (members of the source and target regions) * configs +
+      configs^2) for a [k]-member unit, independent of the partition
+      count (plus one call of the [penalty] hook over every region when
+      one is installed).
+      @raise Invalid_argument on an empty, unsorted or split unit. *)
+
+  val commit_unit : t -> parts:int array -> target:int -> unit
+  (** Install the move, reusing the snapshots of a matching prior
+      {!propose_unit} when available and recomputing them otherwise (the
+      transposition-hit path). The committed state is exactly the one
+      [k] single-partition commits of the unit's members would leave. *)
+
   val propose : t -> part:int -> target:int -> float * bool * int
-  (** Candidate evaluation of reassigning [part] to [target] without
-      committing — the committed state is untouched, so rejecting the
-      move requires no undo work. *)
+  (** [propose t ~part ~target] is [propose_unit t ~parts:[| part |]
+      ~target]. *)
 
   val commit : t -> part:int -> target:int -> unit
-  (** Install the move, reusing the snapshots of a matching prior
-      {!propose} when available and recomputing them otherwise (the
-      transposition-hit path). *)
+  (** [commit t ~part ~target] is [commit_unit t ~parts:[| part |]
+      ~target]. *)
 
   val placement : t -> int array
   (** Copy of the committed placement. *)
 
   val from_scratch : t -> float * bool * int
   (** Ground-truth re-evaluation of the committed placement, ignoring
-      all incremental state — the oracle the property tests compare
-      {!current} against. *)
+      all incremental state, the member index included (it finds each
+      region's members by scanning the placement) — the oracle the
+      property tests compare {!current} against. *)
 end

@@ -18,9 +18,12 @@
     then progressively finer sub-units, finally single partitions)
     between regions, into fresh regions, or to static.
 
-    Refinement reuses the {!Anneal.Energy} incremental kernel for
-    exact O(affected-region) move costing, so refined schemes stay
-    exactly costed: a move is accepted only when it strictly reduces
+    Refinement reuses the {!Anneal.Energy} incremental kernel: a trial
+    moving a [k]-member unit costs O(k + (members of the source and
+    target regions) * configs + configs^2), independent of the design
+    size, and refined schemes stay exactly costed. Each level first
+    ranks every unit's candidate partners, O(units^2) mask tests. A
+    move is accepted only when it strictly reduces
     (budget deficit, total reconfiguration frames) lexicographically —
     deficit-reducing moves restore feasibility, and once feasible the
     exact evaluated cost is monotonically non-increasing (the property
@@ -98,7 +101,10 @@ val allocate :
     re-evaluation a hit.
 
     [telemetry] (default {!Prtelemetry.null}, free): a
-    ["multilevel.allocate"] span; ["multilevel.merges"],
+    ["multilevel.allocate"] span with a ["multilevel.coarsen"] child
+    and, per refined level, ["multilevel.partners"] and
+    ["multilevel.refine"] children carrying the level's [units];
+    ["multilevel.merges"],
     ["multilevel.refine_moves"], ["multilevel.refine_passes"],
     ["core.cost_evaluations"] and ["perf.delta_evals"] counters. *)
 
@@ -114,3 +120,15 @@ val allocate_stats :
   Scheme.t option * stats
 (** {!allocate} plus the per-run search statistics — the hooks the
     QCheck properties and the bench report use. *)
+
+val rank_partners :
+  limit:int ->
+  masks:int array array ->
+  score:(int -> int -> int) ->
+  int list array
+(** [rank_partners ~limit ~masks ~score] lists, for every unit [u], the
+    at most [limit] units [v <> u] whose activity bitmasks are disjoint
+    from [u]'s, least [(score u v, v)] first — the candidate partners
+    refinement proposes. [score] must be symmetric: each unordered pair
+    is scored once. [limit <= 0] gives no partners. Exposed for the
+    Prscale differential test. *)

@@ -664,7 +664,9 @@ let check_placement (s : Scheme.t) ~layout
 
 let stage_bitstream = "bitstream"
 
-let check_serialised ~context ?region ?frames ?variant bytes =
+(* Parse [bytes] and check the stream; [round_trips parsed] decides
+   whether the parse gave back the stream the bytes came from. *)
+let check_stream ~context ?region ?frames ?variant ~round_trips bytes =
   match Bitgen.Bitstream.parse bytes with
   | Error message ->
     [ D.error ~code:"V-BIT-002" ~stage:stage_bitstream
@@ -672,7 +674,7 @@ let check_serialised ~context ?region ?frames ?variant bytes =
   | Ok parsed ->
     let out = ref [] in
     let emit d = out := d :: !out in
-    if not (Bytes.equal (Bitgen.Bitstream.serialise parsed) bytes) then
+    if not (round_trips parsed) then
       emit
         (D.error ~code:"V-BIT-002" ~stage:stage_bitstream
            "%s: re-serialisation is not byte-identical" context);
@@ -704,6 +706,24 @@ let check_serialised ~context ?region ?frames ?variant bytes =
             parsed.Bitgen.Bitstream.header.Bitgen.Bitstream.variant expected)
      | Some _ | None -> ());
     List.rev !out
+
+let check_serialised ~context ?region ?frames ?variant bytes =
+  check_stream ~context ?region ?frames ?variant bytes
+    ~round_trips:(fun parsed ->
+      Bytes.equal (Bitgen.Bitstream.serialise parsed) bytes)
+
+(* An in-memory stream is serialised once and its parse compared with
+   the stream itself: [parse (serialise e) = e] implies that
+   re-serialising the parse gives back the same bytes. *)
+let check_in_memory ~context ?region ?frames ?variant
+    (stream : Bitgen.Bitstream.t) =
+  check_stream ~context ?region ?frames ?variant
+    (Bitgen.Bitstream.serialise stream)
+    ~round_trips:(fun parsed ->
+      parsed.Bitgen.Bitstream.header = stream.Bitgen.Bitstream.header
+      && Int32.equal parsed.Bitgen.Bitstream.crc stream.Bitgen.Bitstream.crc
+      && Bytes.equal parsed.Bitgen.Bitstream.payload
+           stream.Bitgen.Bitstream.payload)
 
 let check_repository (repo : Bitgen.Repository.t) =
   let scheme = repo.Bitgen.Repository.scheme in
@@ -758,16 +778,15 @@ let check_repository (repo : Bitgen.Repository.t) =
              e.Bitgen.Repository.label r e.Bitgen.Repository.partition)
       else
         List.iter emit
-          (check_serialised
+          (check_in_memory
              ~context:(Printf.sprintf "PRR%d %s" (r + 1) e.Bitgen.Repository.label)
              ~region:r ~frames:region_frames.(r)
-             ~variant:e.Bitgen.Repository.label
-             (Bitgen.Bitstream.serialise e.Bitgen.Repository.bitstream)))
+             ~variant:e.Bitgen.Repository.label e.Bitgen.Repository.bitstream))
     repo.Bitgen.Repository.entries;
   List.iter emit
-    (check_serialised ~context:"full bitstream"
+    (check_in_memory ~context:"full bitstream"
        ~frames:(Fpga.Device.total_frames repo.Bitgen.Repository.device)
-       (Bitgen.Bitstream.serialise repo.Bitgen.Repository.full));
+       repo.Bitgen.Repository.full);
   List.rev !out
 
 (* ------------------------------------------------------------------ *)

@@ -134,7 +134,9 @@ val check_serialised :
 val check_repository : Bitgen.Repository.t -> Diagnostic.t list
 (** [V-BIT-001] a (region, member) pair with no repository entry (or an
     entry for an unknown pair); [V-BIT-002..004] per-entry round-trip
-    checks with the expected frame counts re-derived from the scheme;
+    checks (each stream is serialised once and its parse compared with
+    the in-memory stream) with the expected frame counts re-derived
+    from the scheme;
     the full bitstream must carry the device's total frame count. *)
 
 (** {1 Transition reachability} ([V-TRN-00x], stage ["transition"]) *)

@@ -194,6 +194,101 @@ let test_pinned_vcycle () =
       (Digest.to_hex (Digest.string (Memo.scheme_signature scheme)))
 
 (* ------------------------------------------------------------------ *)
+(* Partner ranking and V-cycle spans.                                  *)
+
+(* The ranking refinement used before the bounded top-k, kept verbatim
+   as the reference: cons every disjoint candidate, sort all, keep
+   [limit]. *)
+let reference_partners ~limit ~masks ~score =
+  let disjoint a b =
+    let ok = ref true in
+    for w = 0 to Array.length a - 1 do
+      if a.(w) land b.(w) <> 0 then ok := false
+    done;
+    !ok
+  in
+  let n_units = Array.length masks in
+  Array.init n_units (fun u ->
+      let best = ref [] in
+      for v = 0 to n_units - 1 do
+        if v <> u && disjoint masks.(u) masks.(v) then begin
+          let score = score u v in
+          best := (score, v) :: !best
+        end
+      done;
+      let sorted = List.sort compare !best in
+      List.filteri (fun i _ -> i < limit) sorted |> List.map snd)
+
+(* Few mask bits and few score values, so pairs tie and some units
+   (here unit 0 when [blocker] is set) have no disjoint partner. *)
+let gen_ranking =
+  QCheck2.Gen.(
+    let* n = 0 -- 24 in
+    let* words = 1 -- 2 in
+    let* masks = array_size (return n) (array_size (return words) (0 -- 15)) in
+    let* blocker = bool in
+    let* scores = array_size (return (n * n)) (-3 -- 3) in
+    let* limit = oneof [ return 0; return 1; return (n + 3); -1 -- 10 ] in
+    if blocker && n > 0 then masks.(0) <- Array.make words (-1);
+    return (limit, masks, scores))
+
+let prop_partners_match_reference =
+  QCheck2.Test.make ~name:"bounded top-k partners equal the full sort"
+    ~count:500 gen_ranking (fun (limit, masks, scores) ->
+      let n = Array.length masks in
+      let score u v = scores.((min u v * n) + max u v) in
+      Multilevel.rank_partners ~limit ~masks ~score
+      = reference_partners ~limit ~masks ~score)
+
+let test_partner_edges () =
+  (* Unit 2 overlaps everyone; units 0, 1 and 3 are mutually disjoint
+     with tied scores. *)
+  let masks = [| [| 1 |]; [| 2 |]; [| 7 |]; [| 4 |] |] in
+  let score _ _ = 5 in
+  let rank limit = Multilevel.rank_partners ~limit ~masks ~score in
+  Alcotest.(check (array (list int))) "limit 0" [| []; []; []; [] |] (rank 0);
+  Alcotest.(check (array (list int)))
+    "limit 1, ties by index" [| [ 1 ]; [ 0 ]; []; [ 0 ] |] (rank 1);
+  Alcotest.(check (array (list int)))
+    "limit above the candidates"
+    [| [ 1; 3 ]; [ 0; 3 ]; []; [ 0; 1 ] |]
+    (rank 8)
+
+let test_vcycle_spans () =
+  let sink = Prtelemetry.Sink.memory () in
+  let telemetry = Prtelemetry.create sink in
+  let design = Generator.huge ~seed:2013 ~modules:100 () in
+  let _, stats =
+    Multilevel.allocate_stats ~telemetry ~budget:(huge_budget design) design
+      (Multilevel.nodes design)
+  in
+  let begins name =
+    List.filter
+      (fun (e : Prtelemetry.Event.t) ->
+        e.Prtelemetry.Event.kind = Prtelemetry.Event.Begin
+        && e.Prtelemetry.Event.name = name)
+      (Prtelemetry.Sink.events sink)
+  in
+  let units name =
+    List.map
+      (fun (e : Prtelemetry.Event.t) ->
+        match List.assoc_opt "units" e.Prtelemetry.Event.attrs with
+        | Some (Prtelemetry.Json.Int u) -> u
+        | Some _ | None -> Alcotest.failf "%s span without units" name)
+      (begins name)
+  in
+  Alcotest.(check int) "one coarsen span" 1
+    (List.length (begins "multilevel.coarsen"));
+  let refined = units "multilevel.refine" in
+  Alcotest.(check int) "a refine span per level" (stats.Multilevel.levels + 1)
+    (List.length refined);
+  Alcotest.(check (list int)) "partners spans match the levels" refined
+    (units "multilevel.partners");
+  Alcotest.(check int) "finest level is every node"
+    (List.length (Multilevel.nodes design))
+    (List.nth refined (List.length refined - 1))
+
+(* ------------------------------------------------------------------ *)
 (* Strategy name surface.                                              *)
 
 let test_strategy_names () =
@@ -358,6 +453,12 @@ let () =
       ( "pinned",
         [ Alcotest.test_case "100-module v-cycle stats and signature" `Quick
             test_pinned_vcycle ] );
+      ( "partners",
+        QCheck_alcotest.to_alcotest prop_partners_match_reference
+        :: [ Alcotest.test_case "limits, ties and no partner" `Quick
+               test_partner_edges;
+             Alcotest.test_case "v-cycle child spans" `Quick
+               test_vcycle_spans ] );
       ( "strategy",
         [ Alcotest.test_case "name surface" `Quick test_strategy_names ] );
       ( "memo",

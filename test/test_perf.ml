@@ -332,6 +332,137 @@ let prop_energy_incremental_with_penalty =
         done;
         !ok)
 
+(* Unit moves. A random starting placement over a few regions makes
+   collided (invalid) states common, and each unit is a random
+   ascending subset of one region's members (or of the static
+   partitions). *)
+let energy_fixture design =
+  match covering_set design with
+  | [] -> None
+  | set ->
+    let parts = Array.of_list set in
+    let n = Array.length parts in
+    let analysis = Compatibility.analyse design parts in
+    let configs = Design.configuration_count design in
+    let activity =
+      Array.init n (fun p ->
+          Array.init configs (fun c ->
+              Compatibility.active analysis ~bp:p ~config:c))
+    in
+    let resources = Array.map (fun bp -> bp.Base_partition.resources) parts in
+    let make placement =
+      Anneal.Energy.create
+        ~budget:(res ~bram:50 ~dsp:150 6800)
+        ~static_overhead:design.Design.static_overhead ~resources ~activity
+        placement
+    in
+    Some (n, make)
+
+let random_placement rand n =
+  Array.init n (fun _ -> match rand 4 with 3 -> -1 | r -> r mod n)
+
+let random_unit rand placement =
+  let n = Array.length placement in
+  let home = placement.(rand n) in
+  let members =
+    List.filter (fun p -> placement.(p) = home) (List.init n Fun.id)
+  in
+  match List.filter (fun _ -> rand 2 = 0) members with
+  | [] -> Array.of_list [ List.hd members ]
+  | chosen -> Array.of_list chosen
+
+let random_target rand n = if rand (n + 1) = n then -1 else rand n
+
+let prop_energy_unit_moves =
+  QCheck2.Test.make
+    ~name:"energy single and unit moves match from-scratch (with rollback)"
+    ~count:80
+    QCheck2.Gen.(pair gen_design (0 -- 1_000_000))
+    (fun (design, seed) ->
+      match energy_fixture design with
+      | None -> QCheck2.assume_fail ()
+      | Some (n, make) ->
+        let rand = lcg seed in
+        let energy = make (random_placement rand n) in
+        let ok = ref true in
+        let check () =
+          if Anneal.Energy.current energy <> Anneal.Energy.from_scratch energy
+          then ok := false
+        in
+        check ();
+        for _ = 1 to 40 do
+          let placement = Anneal.Energy.placement energy in
+          let parts = random_unit rand placement in
+          let home = placement.(parts.(0)) in
+          let target = random_target rand n in
+          let before = Anneal.Energy.current energy in
+          let candidate =
+            if Array.length parts = 1 && rand 2 = 0 then
+              Anneal.Energy.propose energy ~part:parts.(0) ~target
+            else Anneal.Energy.propose_unit energy ~parts ~target
+          in
+          (match rand 3 with
+           | 0 ->
+             (* Rejected: nothing was committed. *)
+             if Anneal.Energy.current energy <> before then ok := false
+           | 1 ->
+             Anneal.Energy.commit_unit energy ~parts ~target;
+             if Anneal.Energy.current energy <> candidate then ok := false
+           | _ ->
+             (* Accepted, checked, then rolled back by the inverse
+                move. *)
+             Anneal.Energy.commit_unit energy ~parts ~target;
+             check ();
+             Anneal.Energy.commit_unit energy ~parts ~target:home;
+             if Anneal.Energy.current energy <> before then ok := false);
+          check ()
+        done;
+        !ok)
+
+let prop_energy_unit_equals_singles =
+  QCheck2.Test.make
+    ~name:"energy unit move leaves the state of its single commits"
+    ~count:80
+    QCheck2.Gen.(pair gen_design (0 -- 1_000_000))
+    (fun (design, seed) ->
+      match energy_fixture design with
+      | None -> QCheck2.assume_fail ()
+      | Some (n, make) ->
+        let rand = lcg seed in
+        let start = random_placement rand n in
+        let unit_engine = make start and single_engine = make start in
+        let ok = ref true in
+        for _ = 1 to 20 do
+          let parts = random_unit rand (Anneal.Energy.placement unit_engine) in
+          let target = random_target rand n in
+          (* Committing without a proposal takes the transposition-hit
+             path half of the time. *)
+          if rand 2 = 0 then
+            ignore (Anneal.Energy.propose_unit unit_engine ~parts ~target);
+          Anneal.Energy.commit_unit unit_engine ~parts ~target;
+          Array.iter
+            (fun part -> Anneal.Energy.commit single_engine ~part ~target)
+            parts;
+          if
+            Anneal.Energy.current unit_engine
+            <> Anneal.Energy.current single_engine
+            || Anneal.Energy.placement unit_engine
+               <> Anneal.Energy.placement single_engine
+          then ok := false;
+          (* Equal region snapshots and member indexes price every
+             further move alike. *)
+          for part = 0 to n - 1 do
+            List.iter
+              (fun target ->
+                if
+                  Anneal.Energy.propose unit_engine ~part ~target
+                  <> Anneal.Energy.propose single_engine ~part ~target
+                then ok := false)
+              [ -1; part; (part + 1) mod n ]
+          done
+        done;
+        !ok)
+
 let prop_exact_matches_cost_model =
   QCheck2.Test.make
     ~name:"exact search scheme total agrees with Cost.evaluate" ~count:25
@@ -458,6 +589,8 @@ let () =
           [ prop_allocator_delta;
             prop_energy_incremental;
             prop_energy_incremental_with_penalty;
+            prop_energy_unit_moves;
+            prop_energy_unit_equals_singles;
             prop_exact_matches_cost_model ]
         @ exact_reference_tests );
       ("transition", transition_tests);
