@@ -760,6 +760,38 @@ let runtime_size_curve () =
           rt_place_ms = place_ms })
     runtime_curve_sizes
 
+(* Design-size curve of the greedy allocator itself: [Allocator.allocate]
+   on the multilevel node set (one singleton per used mode) of huge-class
+   designs at 10/20/40 modules, under [huge_budget], best of three, with
+   the moves its descents evaluated (deterministic). The descent step is
+   a scan of the pair table, so a step that grows faster than the
+   table's n^2 shows as a steepening curve. *)
+let greedy_curve_sizes = [ 10; 20; 40 ]
+
+type greedy_size = {
+  gs_modules : int;
+  gs_nodes : int;
+  gs_ms : float;
+  gs_moves : int;
+}
+
+let greedy_size_curve () =
+  List.map
+    (fun modules ->
+      let design = Synth.Generator.huge ~seed:huge_seed ~modules () in
+      let nodes = Prcore.Multilevel.nodes design in
+      let budget = huge_budget design in
+      let tele = Prtelemetry.create Prtelemetry.Sink.null in
+      ignore (Prcore.Allocator.allocate ~telemetry:tele ~budget design nodes);
+      let ms, _ =
+        best_ms 3 (fun () -> Prcore.Allocator.allocate ~budget design nodes)
+      in
+      { gs_modules = modules;
+        gs_nodes = List.length nodes;
+        gs_ms = ms;
+        gs_moves = Prtelemetry.counter_value tele "alloc.moves_evaluated" })
+    greedy_curve_sizes
+
 (* Quality gap of the multilevel scheme against an eval-capped anneal
    on a small huge-class design — the largest size where the default
    pipeline's clustering front-end still terminates un-deadlined, so
@@ -1744,6 +1776,7 @@ let bench_json () =
   let ml_gap = multilevel_gap_vs_anneal () in
   let ml_curve = multilevel_size_curve () in
   let rt_curve = runtime_size_curve () in
+  let greedy_curve = greedy_size_curve () in
   (* Placement-aware flow vs post-hoc feedback: escalations avoided and
      the aware solve latency are regression-tracked. *)
   let fl = floorplan_run () in
@@ -1857,6 +1890,25 @@ let bench_json () =
                                ("solve_ms_per_run", Float r.ms_solve_ms);
                                ("total_frames", Int r.ms_total) ] ))
                        ml_curve) ) ] );
+          ( "greedy",
+            Obj
+              [ ( "design",
+                  String
+                    (Printf.sprintf
+                       "synth huge class (seed %d), Allocator.allocate on \
+                        Multilevel.nodes under the 1.3x modular budget"
+                       huge_seed) );
+                ( "sizes",
+                  Obj
+                    (List.map
+                       (fun r ->
+                         ( Printf.sprintf "m%d" r.gs_modules,
+                           Obj
+                             [ ("modules", Int r.gs_modules);
+                               ("nodes", Int r.gs_nodes);
+                               ("ms_per_run", Float r.gs_ms);
+                               ("moves_evaluated", Int r.gs_moves) ] ))
+                       greedy_curve) ) ] );
           ( "runtime",
             Obj
               [ ( "design",
@@ -1974,6 +2026,11 @@ let bench_json () =
             Printf.sprintf "%d: %.2f/%.0f" r.ms_modules r.ms_analyse_ms
               r.ms_solve_ms)
           ml_curve));
+  Printf.printf "greedy size curve (nodes: ms, moves): %s\n"
+    (String.concat ", "
+       (List.map
+          (fun r -> Printf.sprintf "%d: %.1f, %d" r.gs_nodes r.gs_ms r.gs_moves)
+          greedy_curve));
   Printf.printf "runtime size curve (simulate/place ms): %s\n"
     (String.concat ", "
        (List.map

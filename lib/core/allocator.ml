@@ -13,17 +13,21 @@ let frames_per_clb = float_of_int (Tile.frames_per_tile Clb) /. 20.
 let frames_per_bram = float_of_int (Tile.frames_per_tile Bram) /. 4.
 let frames_per_dsp = float_of_int (Tile.frames_per_tile Dsp) /. 8.
 
-let scalar (r : Resource.t) =
-  (float_of_int r.clb *. frames_per_clb)
-  +. (float_of_int r.bram *. frames_per_bram)
-  +. (float_of_int r.dsp *. frames_per_dsp)
+let[@inline] scalar3 clb bram dsp =
+  (float_of_int clb *. frames_per_clb)
+  +. (float_of_int bram *. frames_per_bram)
+  +. (float_of_int dsp *. frames_per_dsp)
+
+let scalar (r : Resource.t) = scalar3 r.clb r.bram r.dsp
+
+let[@inline] deficit3 ~(budget : Resource.t) clb bram dsp =
+  scalar3
+    (if clb > budget.clb then clb - budget.clb else 0)
+    (if bram > budget.bram then bram - budget.bram else 0)
+    (if dsp > budget.dsp then dsp - budget.dsp else 0)
 
 let deficit ~budget (used : Resource.t) =
-  let over a b = max 0 (a - b) in
-  scalar
-    { Resource.clb = over used.clb budget.Resource.clb;
-      bram = over used.bram budget.Resource.bram;
-      dsp = over used.dsp budget.Resource.dsp }
+  deficit3 ~budget used.clb used.bram used.dsp
 
 (* A live region: its member partitions (priority order), the resident
    partition per configuration (-1 = don't care), the sorted array of
@@ -39,6 +43,23 @@ type region = {
   mutable alive : bool;
 }
 
+(* The live pair table: every candidate move of the current state,
+   scored once and kept current by [apply_move], so a descent step is
+   one allocation-free scan. Pair (i, j), i < j, sits at [i * n + j];
+   only the upper triangle is used. *)
+type table = {
+  can_merge : Bytes.t;  (* '\001' iff both regions live and compatible *)
+  merged_clb : int array;  (* quantized resources of the merged region *)
+  merged_bram : int array;
+  merged_dsp : int array;
+  merge_dtime : float array;  (* reconfiguration-time delta of the merge *)
+  promote_dtime : float array;  (* per region *)
+  raw_clb : int array;  (* per region: raw resources promotion moves *)
+  raw_bram : int array;
+  raw_dsp : int array;
+  used : int array;  (* [| clb; bram; dsp |] of {!used_resources} *)
+}
+
 type state = {
   design : Design.t;
   partitions : Base_partition.t array;
@@ -48,6 +69,7 @@ type state = {
   weights : float array;
       (* Flattened symmetric pair-weight matrix, [i * configs + j]:
          one array load per pair on the hot path, no closure calls. *)
+  table : table;
 }
 
 let weight state i j = state.weights.((i * state.configs) + j)
@@ -102,7 +124,7 @@ let conflicts_of_column state column =
      a.conflicts + b.conflicts + cross a b
    — only the pairs whose residents change are touched, O(|A|·|B|)
    instead of the O(configs^2) column rescan. *)
-let cross state a b =
+let[@inline] cross state a b =
   let acc = ref 0. in
   let aa = a.active and ba = b.active in
   let na = Array.length aa and nb = Array.length ba in
@@ -120,6 +142,104 @@ let refresh_cost state region =
   region.quantized <- Tile.quantize region.resources;
   region.frames <- Tile.frames_of_resources region.resources;
   region.conflicts <- conflicts_of_column state region.column
+
+(* Two regions may merge iff no configuration needs both — an ordered
+   walk over the two sorted active arrays, O(|A| + |B|). *)
+let mergeable a b =
+  let aa = a.active and ba = b.active in
+  let na = Array.length aa and nb = Array.length ba in
+  let rec disjoint i j =
+    if i >= na || j >= nb then true
+    else if aa.(i) = ba.(j) then false
+    else if aa.(i) < ba.(j) then disjoint (i + 1) j
+    else disjoint i (j + 1)
+  in
+  disjoint 0 0
+
+let static_resources state =
+  List.fold_left
+    (fun acc p ->
+      Resource.add acc state.partitions.(p).Base_partition.resources)
+    state.design.Design.static_overhead state.statics
+
+let used_resources state =
+  Array.fold_left
+    (fun acc r -> if r.alive then Resource.add acc r.quantized else acc)
+    (static_resources state) state.regions
+
+let pair_index state i j =
+  if i < j then (i * Array.length state.regions) + j
+  else (j * Array.length state.regions) + i
+
+(* Score the compatible pair (i, j), i < j, into the table with the same
+   arithmetic, operand order included, as [evaluate_move]'s merge case
+   ([Tile.quantize] and [Tile.frames_of_resources] spelt out per kind),
+   so an entry is bit-equal to a fresh evaluation. *)
+let score_pair state i j =
+  let t = state.table in
+  let k = pair_index state i j in
+  let a = state.regions.(i) and b = state.regions.(j) in
+  let ra = a.resources and rb = b.resources in
+  let tiles kind x y = Tile.tiles_for kind (if x > y then x else y) in
+  let clb = tiles Clb ra.clb rb.clb
+  and bram = tiles Bram ra.bram rb.bram
+  and dsp = tiles Dsp ra.dsp rb.dsp in
+  let frames =
+    (clb * Tile.frames_per_tile Clb)
+    + (bram * Tile.frames_per_tile Bram)
+    + (dsp * Tile.frames_per_tile Dsp)
+  in
+  let conflicts = merged_conflicts state a b in
+  Bytes.set t.can_merge k '\001';
+  t.merged_clb.(k) <- clb * Tile.primitives_per_tile Clb;
+  t.merged_bram.(k) <- bram * Tile.primitives_per_tile Bram;
+  t.merged_dsp.(k) <- dsp * Tile.primitives_per_tile Dsp;
+  t.merge_dtime.(k) <-
+    (float_of_int frames *. conflicts)
+    -. (float_of_int a.frames *. a.conflicts)
+    -. (float_of_int b.frames *. b.conflicts)
+
+let kill_pair state i j =
+  Bytes.set state.table.can_merge (pair_index state i j) '\000'
+
+let can_merge state i j =
+  Bytes.get state.table.can_merge (pair_index state i j) <> '\000'
+
+let promote_dtime r = -.(float_of_int r.frames *. r.conflicts)
+
+let create_table n =
+  { can_merge = Bytes.make (n * n) '\000';
+    merged_clb = Array.make (n * n) 0;
+    merged_bram = Array.make (n * n) 0;
+    merged_dsp = Array.make (n * n) 0;
+    merge_dtime = Array.make (n * n) 0.;
+    promote_dtime = Array.make n 0.;
+    raw_clb = Array.make n 0;
+    raw_bram = Array.make n 0;
+    raw_dsp = Array.make n 0;
+    used = Array.make 3 0 }
+
+(* Score every move of the initial state into its fresh table. *)
+let fill_table state =
+  let t = state.table in
+  let used = used_resources state in
+  t.used.(0) <- used.clb;
+  t.used.(1) <- used.bram;
+  t.used.(2) <- used.dsp;
+  Array.iteri
+    (fun i r ->
+      let raw = state.partitions.(i).Base_partition.resources in
+      t.promote_dtime.(i) <- promote_dtime r;
+      t.raw_clb.(i) <- raw.clb;
+      t.raw_bram.(i) <- raw.bram;
+      t.raw_dsp.(i) <- raw.dsp)
+    state.regions;
+  let n = Array.length state.regions in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if mergeable state.regions.(i) state.regions.(j) then score_pair state i j
+    done
+  done
 
 let initial_state ~pair_weight design partitions analysis =
   let configs = Design.configuration_count design in
@@ -141,42 +261,40 @@ let initial_state ~pair_weight design partitions analysis =
           alive = true })
       partitions
   in
-  let state = { design; partitions; regions; statics = []; configs; weights } in
+  let state =
+    { design; partitions; regions; statics = []; configs; weights;
+      table = create_table (Array.length regions) }
+  in
   Array.iter (refresh_cost state) state.regions;
+  fill_table state;
   state
 
-let copy_state state =
+let blit_table ~src ~dst =
+  let all a b = Array.blit a 0 b 0 (Array.length a) in
+  Bytes.blit src.can_merge 0 dst.can_merge 0 (Bytes.length src.can_merge);
+  all src.merged_clb dst.merged_clb;
+  all src.merged_bram dst.merged_bram;
+  all src.merged_dsp dst.merged_dsp;
+  all src.merge_dtime dst.merge_dtime;
+  all src.promote_dtime dst.promote_dtime;
+  all src.raw_clb dst.raw_clb;
+  all src.raw_bram dst.raw_bram;
+  all src.raw_dsp dst.raw_dsp;
+  all src.used dst.used
+
+(* A copy of [state] whose pair table is [table], overwritten: restarts
+   run one after another, so they share one table rather than each
+   allocating its own. *)
+let copy_state ~table state =
+  blit_table ~src:state.table ~dst:table;
   { state with
     regions =
       Array.map
         (fun r ->
           { r with column = Array.copy r.column; active = Array.copy r.active })
         state.regions;
-    statics = state.statics }
-
-let static_resources state =
-  List.fold_left
-    (fun acc p ->
-      Resource.add acc state.partitions.(p).Base_partition.resources)
-    state.design.Design.static_overhead state.statics
-
-let used_resources state =
-  Array.fold_left
-    (fun acc r -> if r.alive then Resource.add acc r.quantized else acc)
-    (static_resources state) state.regions
-
-(* Two regions may merge iff no configuration needs both — an ordered
-   walk over the two sorted active arrays, O(|A| + |B|). *)
-let mergeable a b =
-  let aa = a.active and ba = b.active in
-  let na = Array.length aa and nb = Array.length ba in
-  let rec disjoint i j =
-    if i >= na || j >= nb then true
-    else if aa.(i) = ba.(j) then false
-    else if aa.(i) < ba.(j) then disjoint (i + 1) j
-    else disjoint i (j + 1)
-  in
-  disjoint 0 0
+    statics = state.statics;
+    table }
 
 let merged_column a b =
   Array.init (Array.length a.column) (fun c ->
@@ -267,13 +385,25 @@ let evaluate_move state used move =
     ( -.(float_of_int r.frames *. r.conflicts),
       Resource.add (Resource.sub used r.quantized) raw )
 
+(* Apply a move and bring the pair table up to date: a merge rescores
+   the survivor's pairs with a fresh [cross] each (never the sum of the
+   two halves' cross terms, which would reorder the float additions)
+   and kills the absorbed region's; a promotion kills the promoted
+   region's. *)
 let apply_move state move =
+  let t = state.table in
+  let add_used clb bram dsp =
+    t.used.(0) <- t.used.(0) + clb;
+    t.used.(1) <- t.used.(1) + bram;
+    t.used.(2) <- t.used.(2) + dsp
+  in
   match move with
   | Merge (i, j) ->
     let a = state.regions.(i) and b = state.regions.(j) in
     (* Delta update: the merged conflicts come from the incremental
        kernel; only the surviving region is touched. *)
     let conflicts = merged_conflicts state a b in
+    let qa = a.quantized and qb = b.quantized in
     a.members <- a.members @ b.members;
     a.column <- merged_column a b;
     a.active <- merged_active a b;
@@ -281,11 +411,37 @@ let apply_move state move =
     a.quantized <- Tile.quantize a.resources;
     a.frames <- Tile.frames_of_resources a.resources;
     a.conflicts <- conflicts;
-    b.alive <- false
+    b.alive <- false;
+    add_used
+      (a.quantized.clb - qa.clb - qb.clb)
+      (a.quantized.bram - qa.bram - qb.bram)
+      (a.quantized.dsp - qa.dsp - qb.dsp);
+    t.raw_clb.(i) <- t.raw_clb.(i) + t.raw_clb.(j);
+    t.raw_bram.(i) <- t.raw_bram.(i) + t.raw_bram.(j);
+    t.raw_dsp.(i) <- t.raw_dsp.(i) + t.raw_dsp.(j);
+    t.promote_dtime.(i) <- promote_dtime a;
+    (* The merged region is compatible with [k] iff both halves were,
+       so only pairs that stay compatible are rescored. *)
+    for k = 0 to Array.length state.regions - 1 do
+      if k <> i && k <> j then begin
+        if can_merge state i k && can_merge state j k then
+          if k < i then score_pair state k i else score_pair state i k
+        else kill_pair state i k;
+        kill_pair state j k
+      end
+    done;
+    kill_pair state i j
   | Promote i ->
     let r = state.regions.(i) in
     state.statics <- state.statics @ r.members;
-    r.alive <- false
+    r.alive <- false;
+    add_used
+      (t.raw_clb.(i) - r.quantized.clb)
+      (t.raw_bram.(i) - r.quantized.bram)
+      (t.raw_dsp.(i) - r.quantized.dsp);
+    for k = 0 to Array.length state.regions - 1 do
+      if k <> i then kill_pair state i k
+    done
 
 let candidate_moves ~promote_static state =
   let n = Array.length state.regions in
@@ -303,16 +459,47 @@ let candidate_moves ~promote_static state =
   done;
   !moves
 
-(* One greedy descent. Over budget: minimise the deficit, then added time,
-   then area. Within budget: apply time-reducing promotions only.
-   [evaluate_move]/[apply_move] default to the plain implementations; the
-   allocator passes telemetry-counting wrappers. *)
 let guard_interrupted = function
   | None -> false
   | Some g -> Prguard.Budget.interrupted g
 
-let greedy ~options ~budget ?guard ?(evaluate_move = evaluate_move)
-    ?(apply_move = apply_move) state =
+(* The incumbent of a descent step's scan: its move in [best],
+   [| i; j |] (j = -1: promote i; i = -1: none yet), and its key in
+   [key], [| deficit; dtime; area |]. A move replaces it only if its
+   key is lexicographically smaller under [compare]. Inlined, so the
+   scan passes no boxed floats. *)
+let[@inline] consider best key i j d dtime s =
+  let c = Float.compare d key.(0) in
+  let c = if c = 0 then Float.compare dtime key.(1) else c in
+  let c = if c = 0 then Float.compare s key.(2) else c in
+  if best.(0) < 0 || c < 0 then begin
+    best.(0) <- i;
+    best.(1) <- j;
+    key.(0) <- d;
+    key.(1) <- dtime;
+    key.(2) <- s
+  end
+
+(* One greedy descent. Over budget: minimise the deficit, then added time,
+   then area; merges may keep the deficit, promotions must shrink it.
+   Within budget: apply time-reducing promotions only. Each step is one
+   scan of the pair table in the order the candidate moves were once
+   consed into a list (regions descending; per region its merges with
+   higher regions descending, then its promotion), keeping the first
+   strict minimum: the head a stable sort of that list would give.
+
+   [charge ~moves ~merges] is told how many moves a step evaluated;
+   [observe] (tracing only) sees each move's time delta in scan order;
+   [penalty] is the placeability hook, whose delta joins every move's
+   time delta; [apply] applies the chosen move. *)
+let greedy ~options ~budget ?guard ?penalty ?observe ~charge ~apply state =
+  let t = state.table in
+  let regions = state.regions in
+  let n = Array.length regions in
+  let penalty_delta pen move =
+    float_of_int (pen (moved_demands state move) - pen (state_demands state))
+  in
+  let best = [| -1; -1 |] and key = [| 0.; 0.; 0. |] in
   let continue_ = ref true in
   while !continue_ do
     (* Deadline/cancellation only ([Prguard.Budget.interrupted]): an
@@ -321,56 +508,62 @@ let greedy ~options ~budget ?guard ?(evaluate_move = evaluate_move)
        restart loop keeps whatever incumbent it already has. *)
     if guard_interrupted guard then continue_ := false
     else begin
-    let used = used_resources state in
-    let current_deficit = deficit ~budget used in
-    let moves = candidate_moves ~promote_static:options.promote_static state in
-    let scored =
-      List.map
-        (fun m ->
-          let dtime, new_used = evaluate_move state used m in
-          (m, dtime, new_used, deficit ~budget new_used))
-        moves
-    in
-    let best =
-      if current_deficit > 0. then
-        (* Progress = not increasing the deficit; merges always shrink
-           area so ties are allowed, promotions must strictly help. *)
-        let eligible =
-          List.filter
-            (fun (m, _, _, d) ->
-              match m with
-              | Merge _ -> d <= current_deficit
-              | Promote _ -> d < current_deficit)
-            scored
-        in
-        let better (_, t1, u1, d1) (_, t2, u2, d2) =
-          match compare d1 d2 with
-          | 0 -> (
-            match compare t1 t2 with
-            | 0 -> compare (scalar u1) (scalar u2)
-            | c -> c)
-          | c -> c
-        in
-        (match List.sort better eligible with m :: _ -> Some m | [] -> None)
-      else
-        let eligible =
-          List.filter
-            (fun (m, dtime, _, d) ->
-              d = 0.
-              && dtime < 0.
-              && match m with Promote _ -> true | Merge _ -> false)
-            scored
-        in
-        let better (_, t1, u1, _) (_, t2, u2, _) =
-          match compare t1 t2 with
-          | 0 -> compare (scalar u1) (scalar u2)
-          | c -> c
-        in
-        (match List.sort better eligible with m :: _ -> Some m | [] -> None)
-    in
-    (match best with
-    | Some (m, _, _, _) -> apply_move state m
-    | None -> continue_ := false)
+      let uc = t.used.(0) and ub = t.used.(1) and ud = t.used.(2) in
+      let current = deficit3 ~budget uc ub ud in
+      let over = current > 0. in
+      let moves = ref 0 and merges = ref 0 in
+      best.(0) <- -1;
+      for i = n - 1 downto 0 do
+        let a = regions.(i) in
+        if a.alive then begin
+          let qa = a.quantized in
+          for j = n - 1 downto i + 1 do
+            let k = (i * n) + j in
+            if Bytes.get t.can_merge k <> '\000' then begin
+              incr moves;
+              incr merges;
+              let dtime =
+                match penalty with
+                | None -> t.merge_dtime.(k)
+                | Some pen ->
+                  t.merge_dtime.(k) +. penalty_delta pen (Merge (i, j))
+              in
+              (match observe with Some f -> f dtime | None -> ());
+              if over then begin
+                let qb = regions.(j).quantized in
+                let c = uc - qa.clb - qb.clb + t.merged_clb.(k)
+                and b = ub - qa.bram - qb.bram + t.merged_bram.(k)
+                and d = ud - qa.dsp - qb.dsp + t.merged_dsp.(k) in
+                let def = deficit3 ~budget c b d in
+                if def <= current then
+                  consider best key i j def dtime (scalar3 c b d)
+              end
+            end
+          done;
+          if options.promote_static then begin
+            incr moves;
+            let dtime =
+              match penalty with
+              | None -> t.promote_dtime.(i)
+              | Some pen ->
+                t.promote_dtime.(i) +. penalty_delta pen (Promote i)
+            in
+            (match observe with Some f -> f dtime | None -> ());
+            let c = uc - qa.clb + t.raw_clb.(i)
+            and b = ub - qa.bram + t.raw_bram.(i)
+            and d = ud - qa.dsp + t.raw_dsp.(i) in
+            let def = deficit3 ~budget c b d in
+            if
+              (over && def < current)
+              || ((not over) && def = 0. && dtime < 0.)
+            then consider best key i (-1) def dtime (scalar3 c b d)
+          end
+        end
+      done;
+      charge ~moves:!moves ~merges:!merges;
+      if best.(0) < 0 then continue_ := false
+      else if best.(1) < 0 then apply state (Promote best.(0))
+      else apply state (Merge (best.(0), best.(1)))
     end
   done;
   if deficit ~budget (used_resources state) > 0. then None else Some state
@@ -470,6 +663,21 @@ let allocate ?(options = default_options) ?(pair_weight = fun _ _ -> 1.)
           Prtelemetry.Histogram.observe move_delta dtime;
           (dtime, new_used)
         in
+        (* The descent's batched form of the same accounting: one
+           charge per step for all the moves its scan evaluated. *)
+        let charge ~moves ~merges =
+          Prtelemetry.Counter.incr ~by:moves moves_evaluated;
+          Prtelemetry.Counter.incr ~by:merges delta_evals;
+          match guard with
+          | Some g -> Prguard.Budget.charge ~n:moves g
+          | None -> ()
+        in
+        let observe =
+          if Prtelemetry.Histogram.live move_delta then
+            Some (Prtelemetry.Histogram.observe move_delta)
+          else None
+        in
+        let penalty = Option.map (fun p -> p.Cost.placement_cost) placement in
         let apply_move state move =
           (match move with
            | Merge _ -> Prtelemetry.Counter.incr merges_accepted
@@ -489,11 +697,15 @@ let allocate ?(options = default_options) ?(pair_weight = fun _ _ -> 1.)
              engine's re-evaluation of the returned scheme is a hit
              too. *)
           let results = Memo.create ~telemetry ~capacity:1024 () in
+          let table = create_table (Array.length parts) in
           let run first_move =
             Prtelemetry.Counter.incr restarts_run;
-            let state = copy_state base in
+            let state = copy_state ~table base in
             Option.iter (apply_move state) first_move;
-            match greedy ~options ~budget ?guard ~evaluate_move ~apply_move state with
+            match
+              greedy ~options ~budget ?guard ?penalty ?observe ~charge
+                ~apply:apply_move state
+            with
             | None -> None
             | Some state ->
               let signature = signature_of_state state in
@@ -601,6 +813,34 @@ module Search = struct
 
   let evaluate state used move = evaluate_move state used move
   let used = used_resources
+  let demands = state_demands
+  let moved_demands = moved_demands
+
+  type descent = {
+    applied : move list;
+    evaluated : int;
+    merges_evaluated : int;
+    feasible : bool;
+  }
+
+  let descend ?(options = default_options) ?placement ?observe ~budget state =
+    let applied = ref [] and evaluated = ref 0 and merges_evaluated = ref 0 in
+    let charge ~moves ~merges =
+      evaluated := !evaluated + moves;
+      merges_evaluated := !merges_evaluated + merges
+    in
+    let apply state move =
+      applied := move :: !applied;
+      apply_move state move
+    in
+    let penalty = Option.map (fun p -> p.Cost.placement_cost) placement in
+    let outcome =
+      greedy ~options ~budget ?penalty ?observe ~charge ~apply state
+    in
+    { applied = List.rev !applied;
+      evaluated = !evaluated;
+      merges_evaluated = !merges_evaluated;
+      feasible = Option.is_some outcome }
 
   let alive state r = state.regions.(r).alive
 

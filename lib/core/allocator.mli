@@ -27,6 +27,16 @@ type options = {
 
 val default_options : options
 
+val scalar : Fpga.Resource.t -> float
+(** Area in frame-equivalents: each primitive weighted by the frames
+    per primitive of its tile kind ({!Fpga.Tile.frames_per_tile} over
+    the primitives a tile holds). The search's deficit and area
+    tie-break measure, shared with {!Anneal} and {!Multilevel}. *)
+
+val deficit : budget:Fpga.Resource.t -> Fpga.Resource.t -> float
+(** {!scalar} of the per-kind overrun of [budget]; [0.] iff the usage
+    fits. *)
+
 val allocate :
   ?options:options ->
   ?pair_weight:(int -> int -> float) ->
@@ -62,8 +72,18 @@ val allocate :
     Move scoring is {e incremental}: per-region conflict weights are
     maintained and a merge is costed from the cached values of its two
     operands plus the cross term over the configuration pairs whose
-    residents actually change (see {!Search} and DESIGN.md's
-    Performance section), never by rescanning residency columns.
+    residents actually change, never by rescanning residency columns.
+    Every candidate move lives in a pair table (flat arrays: whether
+    each pair can merge, its merged quantized area and its time delta;
+    each region's promotion delta and raw area), built once per call
+    and copied into each restart. A merge rescores the survivor's pairs
+    that stay compatible (at most [n] cross terms) and kills the
+    absorbed region's; a promotion kills the promoted region's. A descent step is then one
+    allocation-free O(n²) scan that adds the only usage-dependent term,
+    the deficit, and keeps the first strict minimum in the order the
+    moves were once listed, so the step order and tie-breaks are those
+    of the original sorted move list (see {!Search.descend} and
+    DESIGN.md's Performance section).
 
     [pair_weight i j] weights the cost of configurations [i] and [j]
     requiring different region contents (unordered pairs, [i < j]). The
@@ -118,6 +138,30 @@ module Search : sig
       usage), given the current usage. *)
 
   val used : state -> Fpga.Resource.t
+
+  val demands : state -> Fpga.Resource.t array
+  (** The state's {!Cost.placement} demand array. *)
+
+  val moved_demands : state -> move -> Fpga.Resource.t array
+  (** The demand array after [move], without applying it. *)
+
+  type descent = {
+    applied : move list;  (** In application order. *)
+    evaluated : int;  (** Moves evaluated, summed over the steps. *)
+    merges_evaluated : int;  (** The merges among them. *)
+    feasible : bool;  (** The final state fits the budget. *)
+  }
+
+  val descend :
+    ?options:options ->
+    ?placement:Cost.placement ->
+    ?observe:(float -> unit) ->
+    budget:Fpga.Resource.t ->
+    state ->
+    descent
+  (** One greedy descent from [state] (mutated), as {!allocate} runs it
+      for each restart. [observe] sees every evaluated move's time
+      delta, in scan order. *)
 
   val alive : state -> int -> bool
 

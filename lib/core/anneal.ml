@@ -51,19 +51,6 @@ module Rng = struct
     /. 9007199254740992.
 end
 
-(* Scalar area in frame-equivalents, matching the greedy allocator. *)
-let scalar (r : Resource.t) =
-  (float_of_int r.clb *. 1.8)
-  +. (float_of_int r.bram *. 7.5)
-  +. (float_of_int r.dsp *. 3.5)
-
-let deficit ~budget (used : Resource.t) =
-  let over a b = max 0 (a - b) in
-  scalar
-    { Resource.clb = over used.clb budget.Resource.clb;
-      bram = over used.bram budget.Resource.bram;
-      dsp = over used.dsp budget.Resource.dsp }
-
 (* Incremental energy engine. A move reassigns a unit — one or more
    partitions sharing a region — to another region (or static), so only
    the source and destination regions can change: their contributions
@@ -199,7 +186,7 @@ module Energy = struct
   let triple_of ~budget ~used ~total ~invalid ~penalty =
     if invalid > 0 then (infinity, false, max_int)
     else begin
-      let d = deficit ~budget used in
+      let d = Allocator.deficit ~budget used in
       let objective = total + penalty in
       (float_of_int objective +. (200. *. d), d = 0., objective)
     end

@@ -134,10 +134,6 @@ let canonical ~member_keys ~statics ~groups =
 let grouping_signature ~parts ~statics ~groups =
   canonical ~member_keys:(member_key parts) ~statics ~groups
 
-let members_signature parts members =
-  String.concat "|"
-    (List.sort String.compare (List.map (member_key parts) members))
-
 let scheme_signature (s : Scheme.t) =
   let groups =
     List.init s.Scheme.region_count (fun r -> Scheme.region_members s r)

@@ -89,11 +89,6 @@ val grouping_signature :
     order — without building the scheme. Agrees with
     {!scheme_signature} of the resulting scheme. *)
 
-val members_signature : Cluster.Base_partition.t array -> int list -> string
-(** Content signature of a single member set (one region group) — the
-    building block of {!grouping_signature}, exposed for group-level
-    caches and the signature unit tests. *)
-
 val placement_signature : int array -> string
 (** Signature of a region-id-per-partition placement ([-1] = static)
     after canonical renumbering by first appearance. Only valid within

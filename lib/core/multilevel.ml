@@ -62,13 +62,6 @@ let nodes design =
       | None -> None)
     (Design.all_mode_ids design)
 
-(* Scalar area in frame-equivalents, matching the greedy allocator and
-   the annealer's deficit metric. *)
-let scalar (r : Resource.t) =
-  (float_of_int r.clb *. 1.8)
-  +. (float_of_int r.bram *. 7.5)
-  +. (float_of_int r.dsp *. 3.5)
-
 (* Active-configuration sets as bitmasks (63 bits per word), so
    compatibility of two coarse nodes — disjoint activity — is a few
    word ANDs instead of a configuration scan. *)
@@ -130,9 +123,9 @@ let merge_dtime a b =
   - (node_frames b * b.conflicts)
 
 let merge_area_gain a b =
-  scalar (Tile.quantize a.res)
-  +. scalar (Tile.quantize b.res)
-  -. scalar (Tile.quantize (Resource.max a.res b.res))
+  Allocator.scalar (Tile.quantize a.res)
+  +. Allocator.scalar (Tile.quantize b.res)
+  -. Allocator.scalar (Tile.quantize (Resource.max a.res b.res))
 
 (* Bounded top-[limit] partner lists: each unordered pair of units with
    disjoint activity is scored once and offered to both units' buffers,

@@ -6,7 +6,7 @@
 
 module Json = Prtelemetry.Json
 
-type direction = Higher_better | Lower_better
+type direction = Higher_better | Lower_better | Unchanged
 
 type rule = {
   pattern : string;  (* substring of the flattened dotted key *)
@@ -18,7 +18,23 @@ type rule = {
    The point is to catch step changes (a 2x slowdown from an accidental
    O(n^2), a cache whose hit rate collapsed), not 5% jitter. *)
 let default_rules =
-  [ { pattern = "moves_per_sec"; direction = Higher_better;
+  [ (* Deterministic outputs, exact: a bit-identity or oracle check that
+       turns false regresses, and so does any change, up or down, in
+       the search's evaluation counts — a code change that alters them
+       alters what the search does, which no speed-up may do. *)
+    { pattern = "bit_identical"; direction = Higher_better;
+      tolerance_pct = 0. };
+    { pattern = "oracle_clean"; direction = Higher_better;
+      tolerance_pct = 0. };
+    { pattern = "deterministic"; direction = Higher_better;
+      tolerance_pct = 0. };
+    { pattern = "moves_evaluated"; direction = Unchanged;
+      tolerance_pct = 0. };
+    { pattern = "allocator.delta_evals"; direction = Unchanged;
+      tolerance_pct = 0. };
+    { pattern = "guard.evals_used"; direction = Unchanged;
+      tolerance_pct = 0. };
+    { pattern = "moves_per_sec"; direction = Higher_better;
       tolerance_pct = 30. };
     (* Runtime size curve: the simulator replay and the placer at
        50/100/200 modules. The 50-module rows run in about a
@@ -66,19 +82,20 @@ let default_rules =
 
 (* Flatten a JSON document to dotted-key numeric leaves, in document
    order: {"sweep":{"speedup":1.2}} -> [("sweep.speedup", 1.2)].
-   Booleans, strings and arrays are skipped — only numbers can regress
-   numerically. *)
+   Booleans become 1 (true) and 0 (false), so a check that turns false
+   can regress; strings and arrays are skipped. *)
 let flatten json =
   let rec walk prefix acc = function
     | Json.Int n -> (prefix, float_of_int n) :: acc
     | Json.Float f -> (prefix, f) :: acc
+    | Json.Bool b -> (prefix, if b then 1. else 0.) :: acc
     | Json.Obj fields ->
       List.fold_left
         (fun acc (key, v) ->
           let path = if prefix = "" then key else prefix ^ "." ^ key in
           walk path acc v)
         acc fields
-    | Json.Null | Json.Bool _ | Json.String _ | Json.List _ -> acc
+    | Json.Null | Json.String _ | Json.List _ -> acc
   in
   List.rev (walk "" [] json)
 
@@ -131,6 +148,7 @@ let compare ?(rules = default_rules) ~baseline ~latest () =
                 match rule.direction with
                 | Higher_better -> now < base -. 1e-12
                 | Lower_better -> now > base +. 1e-12
+                | Unchanged -> Float.abs now > 1e-12
               in
               let verdict =
                 if worse && rule.tolerance_pct <= 0. then Regressed
@@ -150,6 +168,9 @@ let compare ?(rules = default_rules) ~baseline ~latest () =
                 | Lower_better ->
                   if change > rule.tolerance_pct then Regressed
                   else if change < -.rule.tolerance_pct then Improved
+                  else Within
+                | Unchanged ->
+                  if Float.abs change > rule.tolerance_pct then Regressed
                   else Within
               in
               { key; baseline = base; latest = now; change_pct = change;

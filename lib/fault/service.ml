@@ -19,8 +19,6 @@ let kind_of_string s = List.find_opt (fun k -> kind_name k = s) all_kinds
 
 type point = Solve_point | Cache_write_point | Reply_point
 
-let all_points = [ Solve_point; Cache_write_point; Reply_point ]
-
 let point_name = function
   | Solve_point -> "solve"
   | Cache_write_point -> "cache-write"

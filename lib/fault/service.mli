@@ -39,7 +39,6 @@ type point = Solve_point | Cache_write_point | Reply_point
     counter): a schedule entry [kill-solve@2] fires on the third solve
     no matter how many cache writes interleave. *)
 
-val all_points : point list
 val point_name : point -> string
 val applies : kind -> point -> bool
 

@@ -101,7 +101,6 @@ let rec charge ?(n = 1) t =
 let evals_used t = Atomic.get t.evals
 let elapsed_ms t = (t.clock () -. t.started) *. 1000.
 let has_eval_cap t = t.max_evals <> None
-let has_deadline t = t.deadline <> None
 
 type reason = Completed | Deadline | Eval_cap | Cancelled
 
@@ -181,8 +180,6 @@ let verdict ?rung t =
     evals_used = evals_used t;
     elapsed_ms = elapsed_ms t;
   }
-
-let with_rung rung v = { v with rung = Some rung }
 
 let render_verdict v =
   if not v.guarded then "unguarded"

@@ -84,7 +84,6 @@ val charge : ?n:int -> t -> unit
 val evals_used : t -> int
 val elapsed_ms : t -> float
 val has_eval_cap : t -> bool
-val has_deadline : t -> bool
 
 type reason =
   | Completed  (** The budget never expired. *)
@@ -119,5 +118,4 @@ val no_budget : verdict
     [degraded = false], [reason = Completed], everything else zero. *)
 
 val verdict : ?rung:string -> t -> verdict
-val with_rung : string -> verdict -> verdict
 val render_verdict : verdict -> string

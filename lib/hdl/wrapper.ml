@@ -101,11 +101,6 @@ let variant_module design (bp : Base_partition.t) =
            bp.Base_partition.freq)
       :: (wires @ instances @ tail) }
 
-let region_variants (scheme : Scheme.t) ~region =
-  List.map
-    (fun p -> variant_module scheme.Scheme.design scheme.Scheme.partitions.(p))
-    (Scheme.region_members scheme region)
-
 let static_wrapper (scheme : Scheme.t) =
   match Scheme.static_members scheme with
   | [] -> None

@@ -24,10 +24,6 @@ val variant_module :
 
 val variant_name : Prdesign.Design.t -> Cluster.Base_partition.t -> string
 
-val region_variants : Prcore.Scheme.t -> region:int -> Ast.module_decl list
-(** One variant per cluster hosted by the region, in priority order.
-    @raise Invalid_argument on an out-of-range region. *)
-
 val static_wrapper : Prcore.Scheme.t -> Ast.module_decl option
 (** [None] when the scheme promotes nothing to static. Static clusters
     get independent stream ports ([sN_*]/[mN_*]). *)

@@ -304,8 +304,69 @@ let placement_aware_tests =
             rest
         | [] -> assert false) ]
 
+(* The library never writes to standard output: a front end that prints
+   a result line last (the CLI, the benchmark harness) relies on it.
+   Text left in a [Format.std_formatter] or [stdout] buffer would be
+   flushed at exit, after that line. *)
+let stdout_tests =
+  [ Alcotest.test_case "traced solves and a verified flow print nothing"
+      `Quick (fun () ->
+        Format.pp_print_flush Format.std_formatter ();
+        flush stdout;
+        let path = Filename.temp_file "prpart-stdout" ".txt" in
+        let capture =
+          Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600
+        in
+        let saved = Unix.dup Unix.stdout in
+        Unix.dup2 capture Unix.stdout;
+        let restore () =
+          Format.pp_print_flush Format.std_formatter ();
+          flush stdout;
+          Unix.dup2 saved Unix.stdout;
+          Unix.close saved;
+          Unix.close capture
+        in
+        let outcome =
+          try
+            List.iter
+              (fun strategy ->
+                let telemetry =
+                  Prtelemetry.create (Prtelemetry.Sink.memory ())
+                in
+                match
+                  Engine.solve ~telemetry ~strategy
+                    ~target:(Engine.Budget Design_library.case_study_budget)
+                    Design_library.video_receiver
+                with
+                | Ok _ -> ()
+                | Error m -> failwith m)
+              [ Prcore.Strategy.Greedy; Prcore.Strategy.Multilevel ];
+            (match
+               Tool_flow.run
+                 ~options:
+                   { Tool_flow.default_options with
+                     verify = true;
+                     telemetry =
+                       Prtelemetry.create (Prtelemetry.Sink.memory ()) }
+                 ~target:(Engine.Budget Design_library.case_study_budget)
+                 Design_library.video_receiver
+             with
+             | Ok _ -> ()
+             | Error m -> failwith m);
+            Ok ()
+          with e -> Error e
+        in
+        restore ();
+        let written = (Unix.stat path).Unix.st_size in
+        let text = In_channel.with_open_bin path In_channel.input_all in
+        Sys.remove path;
+        (match outcome with Ok () -> () | Error e -> raise e);
+        Alcotest.(check string) "nothing on stdout" "" text;
+        Alcotest.(check int) "zero bytes" 0 written) ]
+
 let () =
   Alcotest.run "flow"
     [ ("tool-flow", flow_tests);
       ("escalation-parity", escalation_tests);
-      ("placement-aware", placement_aware_tests) ]
+      ("placement-aware", placement_aware_tests);
+      ("stdout", stdout_tests) ]

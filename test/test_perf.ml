@@ -223,6 +223,211 @@ let prop_allocator_delta =
         done;
         !ok)
 
+(* The greedy descent as it stood before the pair table: each step
+   lists the candidate moves, scores every one, filters them and
+   stable-sorts the list to apply its head. Kept verbatim, on
+   [Allocator.Search], as the reference for [Allocator.Search.descend]:
+   the same moves in the same order, the same evaluation counts and
+   the same time deltas observed. *)
+let reference_descent ~promote_static ?placement ~budget state =
+  let module S = Allocator.Search in
+  let scalar = Allocator.scalar and deficit = Allocator.deficit in
+  let pen_of demands =
+    match placement with
+    | None -> 0
+    | Some p -> p.Cost.placement_cost demands
+  in
+  let applied = ref [] and evaluated = ref 0 and merges = ref 0 in
+  let deltas = ref [] in
+  let evaluate_move state used move =
+    incr evaluated;
+    (match move with S.Merge _ -> incr merges | S.Promote _ -> ());
+    let dtime, new_used = S.evaluate state used move in
+    let dtime =
+      match placement with
+      | None -> dtime
+      | Some _ ->
+        dtime
+        +. float_of_int
+             (pen_of (S.moved_demands state move) - pen_of (S.demands state))
+    in
+    deltas := dtime :: !deltas;
+    (dtime, new_used)
+  in
+  let continue_ = ref true in
+  while !continue_ do
+    let used = S.used state in
+    let current_deficit = deficit ~budget used in
+    let moves = S.moves ~promote_static state in
+    let scored =
+      List.map
+        (fun m ->
+          let dtime, new_used = evaluate_move state used m in
+          (m, dtime, new_used, deficit ~budget new_used))
+        moves
+    in
+    let best =
+      if current_deficit > 0. then
+        let eligible =
+          List.filter
+            (fun (m, _, _, d) ->
+              match m with
+              | S.Merge _ -> d <= current_deficit
+              | S.Promote _ -> d < current_deficit)
+            scored
+        in
+        let better (_, t1, u1, d1) (_, t2, u2, d2) =
+          match compare d1 d2 with
+          | 0 -> (
+            match compare t1 t2 with
+            | 0 -> compare (scalar u1) (scalar u2)
+            | c -> c)
+          | c -> c
+        in
+        (match List.sort better eligible with m :: _ -> Some m | [] -> None)
+      else
+        let eligible =
+          List.filter
+            (fun (m, dtime, _, d) ->
+              d = 0.
+              && dtime < 0.
+              && match m with S.Promote _ -> true | S.Merge _ -> false)
+            scored
+        in
+        let better (_, t1, u1, _) (_, t2, u2, _) =
+          match compare t1 t2 with
+          | 0 -> compare (scalar u1) (scalar u2)
+          | c -> c
+        in
+        (match List.sort better eligible with m :: _ -> Some m | [] -> None)
+    in
+    match best with
+    | Some (m, _, _, _) ->
+      applied := m :: !applied;
+      S.apply state m
+    | None -> continue_ := false
+  done;
+  ( { S.applied = List.rev !applied;
+      evaluated = !evaluated;
+      merges_evaluated = !merges;
+      feasible = deficit ~budget (S.used state) = 0. },
+    List.rev !deltas )
+
+let bits_equal a b =
+  List.equal
+    (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+    a b
+
+(* Unit weights or rates in (0.5, 4.2) that are rarely exact binary
+   fractions, so the summation order of a conflict weight shows. *)
+let skewed_weight seed i j =
+  0.5 +. (float_of_int (((i * 7919) + (j * 104729) + seed) mod 97) /. 26.)
+
+let prop_descent_matches_reference =
+  QCheck2.Test.make
+    ~name:"table descent applies the reference's moves, counts and deltas"
+    ~count:120
+    QCheck2.Gen.(pair gen_design (0 -- 1_000_000))
+    (fun (design, seed) ->
+      let set = covering_set design in
+      let pair_weight =
+        if seed land 1 = 0 then None else Some (skewed_weight seed)
+      in
+      let promote_static = seed land 2 = 0 in
+      let placement =
+        if seed land 4 = 0 then None
+        else
+          Option.map Flow.Tool_flow.placement_hook
+            (Fpga.Device.smallest_fitting (Design.modular_requirement design))
+      in
+      (* From infeasible (25% of the modular budget) to slack (175%). *)
+      let budget =
+        let m = Design.modular_requirement design in
+        let pct = 25 + (seed / 8 mod 151) in
+        let scale x = x * pct / 100 in
+        res ~bram:(scale m.Resource.bram) ~dsp:(scale m.Resource.dsp)
+          (scale m.Resource.clb)
+      in
+      match
+        ( Allocator.Search.initial ?pair_weight design set,
+          Allocator.Search.initial ?pair_weight design set )
+      with
+      | Some reference, Some table ->
+        (* Restarts begin with one forced move: take one of those too. *)
+        (if seed land 8 <> 0 then
+           match Allocator.Search.moves ~promote_static reference with
+           | [] -> ()
+           | moves ->
+             let m = List.nth moves (seed mod List.length moves) in
+             Allocator.Search.apply reference m;
+             Allocator.Search.apply table m);
+        let expected, expected_deltas =
+          reference_descent ~promote_static ?placement ~budget reference
+        in
+        let deltas = ref [] in
+        let got =
+          Allocator.Search.descend
+            ~options:{ Allocator.default_options with promote_static }
+            ?placement ~observe:(fun d -> deltas := d :: !deltas) ~budget table
+        in
+        got = expected
+        && bits_equal (List.rev !deltas) expected_deltas
+        && Allocator.Search.signature table
+           = Allocator.Search.signature reference
+      | _ -> QCheck2.assume_fail ())
+
+let allocator_step_tests =
+  [ Alcotest.test_case "Allocator.scalar equals the 1.8/7.5/3.5 literals"
+      `Quick (fun () ->
+        (* Anneal and Multilevel once carried these literals; they now
+           share Allocator's Tile-derived weights, bit for bit. *)
+        let literal (r : Resource.t) =
+          (float_of_int r.clb *. 1.8)
+          +. (float_of_int r.bram *. 7.5)
+          +. (float_of_int r.dsp *. 3.5)
+        in
+        List.iter
+          (fun r ->
+            Alcotest.(check int64)
+              (Resource.to_string r)
+              (Int64.bits_of_float (literal r))
+              (Int64.bits_of_float (Allocator.scalar r)))
+          [ res 0; res 1; res ~bram:1 ~dsp:1 1; res ~bram:3 ~dsp:7 333;
+            res ~bram:62 ~dsp:150 6900; res ~bram:97 ~dsp:13 123_457 ]);
+    Alcotest.test_case "case-study solve charges the pinned move counts"
+      `Quick (fun () ->
+        (* Totals of the sorted-list descent this one replaced; the table
+           scan must evaluate exactly as many moves. *)
+        let design =
+          match Design_library.find "video-receiver" with
+          | Some d -> d
+          | None -> Alcotest.fail "video-receiver missing from the library"
+        in
+        let budget = res ~bram:62 ~dsp:150 6900 in
+        List.iter
+          (fun (label, target, placement, expected) ->
+            let telemetry = Prtelemetry.create Prtelemetry.Sink.null in
+            (match Engine.solve ~telemetry ?placement ~target design with
+             | Error e -> Alcotest.fail e
+             | Ok _ -> ());
+            List.iter2
+              (fun counter n ->
+                Alcotest.(check int) (label ^ " " ^ counter) n
+                  (Prtelemetry.counter_value telemetry counter))
+              [ "alloc.moves_evaluated"; "perf.delta_evals";
+                "alloc.merges_accepted"; "alloc.promotions";
+                "core.placement_evals" ]
+              expected)
+          [ ("auto", Engine.Auto, None, [ 27329; 13117; 1285; 813; 0 ]);
+            ("budget", Engine.Budget budget, None,
+             [ 27299; 13120; 1276; 811; 0 ]);
+            ( "budget placed",
+              Engine.Budget budget,
+              Some
+                (Flow.Tool_flow.placement_hook
+                   (Fpga.Device.find_exn "FX50T")),
+              [ 27303; 13108; 1287; 804; 54636 ] ) ]) ]
+
 let prop_energy_incremental =
   QCheck2.Test.make
     ~name:"anneal energy incremental sums match from-scratch (with undo)"
@@ -587,12 +792,13 @@ let () =
       ( "kernels",
         List.map QCheck_alcotest.to_alcotest
           [ prop_allocator_delta;
+            prop_descent_matches_reference;
             prop_energy_incremental;
             prop_energy_incremental_with_penalty;
             prop_energy_unit_moves;
             prop_energy_unit_equals_singles;
             prop_exact_matches_cost_model ]
-        @ exact_reference_tests );
+        @ exact_reference_tests @ allocator_step_tests );
       ("transition", transition_tests);
       ( "determinism",
         List.map QCheck_alcotest.to_alcotest [ prop_solve_jobs_identical ]

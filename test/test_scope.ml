@@ -386,11 +386,12 @@ let regress_tests =
             [ ("a", obj [ ("b", Json.Int 1); ("c", Json.Float 2.5) ]);
               ("skip", Json.String "text");
               ("list", Json.List [ Json.Int 9 ]);
-              ("d", Json.Bool true) ]
+              ("d", Json.Bool true);
+              ("e", Json.Bool false) ]
         in
         Alcotest.(check (list (pair string (float 0.))))
           "flattened"
-          [ ("a.b", 1.); ("a.c", 2.5) ]
+          [ ("a.b", 1.); ("a.c", 2.5); ("d", 1.); ("e", 0.) ]
           (Experiments.Regress.flatten doc));
     Alcotest.test_case "identical documents are all within" `Quick (fun () ->
         let doc = bench_doc ~moves:2.8e6 ~speedup:1.0 ~hit_rate:0.9 in
@@ -470,6 +471,48 @@ let regress_tests =
              (Experiments.Regress.regressed
                 (Experiments.Regress.compare ~baseline:lenient ~latest:worse
                    ()))));
+    Alcotest.test_case "a true check that turns false regresses" `Quick
+      (fun () ->
+        List.iter
+          (fun (section, key) ->
+            let doc b = obj [ (section, obj [ (key, Json.Bool b) ]) ] in
+            let regressions ~baseline ~latest =
+              List.length
+                (Experiments.Regress.regressed
+                   (Experiments.Regress.compare ~baseline:(doc baseline)
+                      ~latest:(doc latest) ()))
+            in
+            Alcotest.(check int) (key ^ " true -> false") 1
+              (regressions ~baseline:true ~latest:false);
+            Alcotest.(check int) (key ^ " true -> true") 0
+              (regressions ~baseline:true ~latest:true);
+            Alcotest.(check int) (key ^ " false -> true") 0
+              (regressions ~baseline:false ~latest:true))
+          [ ("sweep", "bit_identical");
+            ("floorplan", "oracle_clean");
+            ("guard", "deterministic") ]);
+    Alcotest.test_case "evaluation counts must not move either way" `Quick
+      (fun () ->
+        List.iter
+          (fun (section, key, base) ->
+            let doc n = obj [ (section, obj [ (key, Json.Int n) ]) ] in
+            let verdicts latest =
+              List.map
+                (fun f -> f.Experiments.Regress.verdict)
+                (Experiments.Regress.compare ~baseline:(doc base)
+                   ~latest:(doc latest) ())
+            in
+            let label = section ^ "." ^ key in
+            Alcotest.(check bool) (label ^ " same") true
+              (verdicts base = [ Experiments.Regress.Within ]);
+            Alcotest.(check bool) (label ^ " fewer") true
+              (verdicts (base - 1) = [ Experiments.Regress.Regressed ]);
+            Alcotest.(check bool) (label ^ " more") true
+              (verdicts (base + 1) = [ Experiments.Regress.Regressed ]))
+          [ ("allocator", "moves_evaluated", 545_980);
+            ("allocator", "delta_evals", 262_400);
+            ("guard", "evals_used", 1610);
+            ("guard", "evals_used", 0) ]);
     Alcotest.test_case "missing metric is a regression" `Quick (fun () ->
         let baseline = bench_doc ~moves:2.0e6 ~speedup:1.0 ~hit_rate:0.9 in
         let latest = obj [ ("sweep", obj [ ("speedup", Json.Float 1.0) ]) ] in
