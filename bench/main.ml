@@ -654,8 +654,8 @@ let multilevel_huge_run () =
 
 (* Design-size curve of the multilevel path: at each size, the
    compatibility analysis of the mode singletons (best of twenty calls:
-   it is sub-millisecond below 200 modules) and the unguarded engine
-   solve (best of three), so a stage that grows
+   it is sub-millisecond below 200 modules), the unguarded engine
+   solve (best of three) and the V-cycle's stages, so a stage that grows
    faster than linear shows as a steepening curve and the [ms_per_run]
    regression rule catches its return. *)
 let multilevel_curve_sizes = [ 50; 100; 200; 400 ]
@@ -665,7 +665,39 @@ type ml_size = {
   ms_analyse_ms : float;
   ms_solve_ms : float;
   ms_total : int;
+  ms_stage_ms : float array;  (* coarsen, partners, refine *)
+  ms_stats : Prcore.Multilevel.stats;
 }
+
+let vcycle_stages = [ "coarsen"; "partners"; "refine" ]
+
+(* Three [allocate_stats] runs on a memory-sink telemetry handle: each
+   stage's time summed over its [multilevel.*] spans in a run (partners
+   and refine have one span per level), best of the three runs, and the
+   run's statistics (deterministic, so any run's). *)
+let vcycle_stage_run ~budget design =
+  let nodes = Prcore.Multilevel.nodes design in
+  let run () =
+    let telemetry = Prtelemetry.create (Prtelemetry.Sink.memory ()) in
+    let _, stats =
+      Prcore.Multilevel.allocate_stats ~telemetry ~budget design nodes
+    in
+    let spans = Prtelemetry.span_list telemetry in
+    let stage_ms stage =
+      List.fold_left
+        (fun acc (sp : Prtelemetry.span_stats) ->
+          if sp.span_name = "multilevel." ^ stage then
+            acc +. (1000. *. sp.total_s)
+          else acc)
+        0. spans
+    in
+    (Array.of_list (List.map stage_ms vcycle_stages), stats)
+  in
+  let runs = List.init 3 (fun _ -> run ()) in
+  let best k =
+    List.fold_left (fun acc (ms, _) -> Float.min acc ms.(k)) infinity runs
+  in
+  (Array.init (List.length vcycle_stages) best, snd (List.hd runs))
 
 let multilevel_size_curve () =
   List.map
@@ -675,12 +707,14 @@ let multilevel_size_curve () =
       let analyse_ms, _ =
         best_ms 20 (fun () -> Prcore.Compatibility.analyse design nodes)
       in
-      let target = Prcore.Engine.Budget (huge_budget design) in
+      let budget = huge_budget design in
+      let target = Prcore.Engine.Budget budget in
       let solve_ms, outcome =
         best_ms 3 (fun () ->
             Prcore.Engine.solve ~strategy:Prcore.Strategy.Multilevel ~target
               design)
       in
+      let stage_ms, stats = vcycle_stage_run ~budget design in
       match outcome with
       | Error m ->
         Printf.printf "BENCH FAILED: multilevel %d-module solve: %s\n" modules m;
@@ -689,7 +723,9 @@ let multilevel_size_curve () =
         { ms_modules = modules;
           ms_analyse_ms = analyse_ms;
           ms_solve_ms = solve_ms;
-          ms_total = o.Prcore.Engine.evaluation.Prcore.Cost.total_frames })
+          ms_total = o.Prcore.Engine.evaluation.Prcore.Cost.total_frames;
+          ms_stage_ms = stage_ms;
+          ms_stats = stats })
     multilevel_curve_sizes
 
 (* Design-size curve of the implementation stages that run per region:
@@ -1885,10 +1921,19 @@ let bench_json () =
                        (fun r ->
                          ( Printf.sprintf "m%d" r.ms_modules,
                            Obj
-                             [ ("modules", Int r.ms_modules);
-                               ("analyse_ms_per_run", Float r.ms_analyse_ms);
-                               ("solve_ms_per_run", Float r.ms_solve_ms);
-                               ("total_frames", Int r.ms_total) ] ))
+                             ([ ("modules", Int r.ms_modules);
+                                ("analyse_ms_per_run", Float r.ms_analyse_ms);
+                                ("solve_ms_per_run", Float r.ms_solve_ms);
+                                ("total_frames", Int r.ms_total) ]
+                             @ List.mapi
+                                 (fun k stage ->
+                                   (stage ^ "_ms", Float r.ms_stage_ms.(k)))
+                                 vcycle_stages
+                             @
+                             let s = r.ms_stats in
+                             [ ("levels", Int s.Prcore.Multilevel.levels);
+                               ("merges", Int s.Prcore.Multilevel.merges);
+                               ("trials", Int s.Prcore.Multilevel.trials) ]) ))
                        ml_curve) ) ] );
           ( "greedy",
             Obj

@@ -463,6 +463,10 @@ let guard_interrupted = function
   | None -> false
   | Some g -> Prguard.Budget.interrupted g
 
+(* The placeability penalty's change under [move]. *)
+let penalty_delta pen state move =
+  float_of_int (pen (moved_demands state move) - pen (state_demands state))
+
 (* The incumbent of a descent step's scan: its move in [best],
    [| i; j |] (j = -1: promote i; i = -1: none yet), and its key in
    [key], [| deficit; dtime; area |]. A move replaces it only if its
@@ -496,9 +500,6 @@ let greedy ~options ~budget ?guard ?penalty ?observe ~charge ~apply state =
   let t = state.table in
   let regions = state.regions in
   let n = Array.length regions in
-  let penalty_delta pen move =
-    float_of_int (pen (moved_demands state move) - pen (state_demands state))
-  in
   let best = [| -1; -1 |] and key = [| 0.; 0.; 0. |] in
   let continue_ = ref true in
   while !continue_ do
@@ -526,7 +527,7 @@ let greedy ~options ~budget ?guard ?penalty ?observe ~charge ~apply state =
                 match penalty with
                 | None -> t.merge_dtime.(k)
                 | Some pen ->
-                  t.merge_dtime.(k) +. penalty_delta pen (Merge (i, j))
+                  t.merge_dtime.(k) +. penalty_delta pen state (Merge (i, j))
               in
               (match observe with Some f -> f dtime | None -> ());
               if over then begin
@@ -546,7 +547,7 @@ let greedy ~options ~budget ?guard ?penalty ?observe ~charge ~apply state =
               match penalty with
               | None -> t.promote_dtime.(i)
               | Some pen ->
-                t.promote_dtime.(i) +. penalty_delta pen (Promote i)
+                t.promote_dtime.(i) +. penalty_delta pen state (Promote i)
             in
             (match observe with Some f -> f dtime | None -> ());
             let c = uc - qa.clb + t.raw_clb.(i)
@@ -567,6 +568,86 @@ let greedy ~options ~budget ?guard ?penalty ?observe ~charge ~apply state =
     end
   done;
   if deficit ~budget (used_resources state) > 0. then None else Some state
+
+(* The restarts' alternative first moves: every move of [state] ranked
+   by (time delta, area of the resulting usage) and cut to the first
+   [limit] ([limit < 0]: all of them). The moves are read from the pair
+   table in [greedy]'s scan order, which is [candidate_moves]' order,
+   and kept in a bounded buffer that places a move after every move
+   with an equal key: the head of a stable sort of that list, with no
+   cross term recomputed. [charge], [observe] and [penalty] are as for
+   [greedy]. *)
+let first_moves ~promote_static ~limit ?penalty ?observe ~charge state =
+  let t = state.table in
+  let regions = state.regions in
+  let n = Array.length regions in
+  let cap = if limit < 0 then n * (n + 1) / 2 else limit in
+  let top_i = Array.make cap 0 and top_j = Array.make cap 0 in
+  let top_dtime = Array.make cap 0. and top_area = Array.make cap 0. in
+  let len = ref 0 in
+  let before dtime area k =
+    match Float.compare dtime top_dtime.(k) with
+    | 0 -> Float.compare area top_area.(k) < 0
+    | c -> c < 0
+  in
+  let offer i j dtime area =
+    if !len < cap || (cap > 0 && before dtime area (cap - 1)) then begin
+      let k = ref (Int.min !len (cap - 1)) in
+      while !k > 0 && before dtime area (!k - 1) do
+        top_i.(!k) <- top_i.(!k - 1);
+        top_j.(!k) <- top_j.(!k - 1);
+        top_dtime.(!k) <- top_dtime.(!k - 1);
+        top_area.(!k) <- top_area.(!k - 1);
+        decr k
+      done;
+      top_i.(!k) <- i;
+      top_j.(!k) <- j;
+      top_dtime.(!k) <- dtime;
+      top_area.(!k) <- area;
+      if !len < cap then incr len
+    end
+  in
+  let with_penalty dtime move =
+    match penalty with
+    | None -> dtime
+    | Some pen -> dtime +. penalty_delta pen state move
+  in
+  let uc = t.used.(0) and ub = t.used.(1) and ud = t.used.(2) in
+  let moves = ref 0 and merges = ref 0 in
+  for i = n - 1 downto 0 do
+    let a = regions.(i) in
+    if a.alive then begin
+      let qa = a.quantized in
+      for j = n - 1 downto i + 1 do
+        let k = (i * n) + j in
+        if Bytes.get t.can_merge k <> '\000' then begin
+          incr moves;
+          incr merges;
+          let dtime = with_penalty t.merge_dtime.(k) (Merge (i, j)) in
+          (match observe with Some f -> f dtime | None -> ());
+          let qb = regions.(j).quantized in
+          offer i j dtime
+            (scalar3
+               (uc - qa.clb - qb.clb + t.merged_clb.(k))
+               (ub - qa.bram - qb.bram + t.merged_bram.(k))
+               (ud - qa.dsp - qb.dsp + t.merged_dsp.(k)))
+        end
+      done;
+      if promote_static then begin
+        incr moves;
+        let dtime = with_penalty t.promote_dtime.(i) (Promote i) in
+        (match observe with Some f -> f dtime | None -> ());
+        offer i (-1) dtime
+          (scalar3
+             (uc - qa.clb + t.raw_clb.(i))
+             (ub - qa.bram + t.raw_bram.(i))
+             (ud - qa.dsp + t.raw_dsp.(i)))
+      end
+    end
+  done;
+  charge ~moves:!moves ~merges:!merges;
+  List.init !len (fun k ->
+      if top_j.(k) < 0 then Promote top_i.(k) else Merge (top_i.(k), top_j.(k)))
 
 let scheme_of_state state =
   let next = ref 0 in
@@ -639,32 +720,9 @@ let allocate ?(options = default_options) ?(pair_weight = fun _ _ -> 1.)
           | None -> 0
           | Some p -> p.Cost.placement_cost demands
         in
-        let evaluate_move state used move =
-          Prtelemetry.Counter.incr moves_evaluated;
-          (match guard with
-           | Some g -> Prguard.Budget.charge g
-           | None -> ());
-          (match move with
-           | Merge _ -> Prtelemetry.Counter.incr delta_evals
-           | Promote _ -> ());
-          let dtime, new_used = evaluate_move state used move in
-          (* The placeability-penalty delta joins the time delta like
-             extra frames, so both the descent ranking and the strict
-             [dtime < 0] promotion filter see floorplan cost. *)
-          let dtime =
-            match placement with
-            | None -> dtime
-            | Some _ ->
-              dtime
-              +. float_of_int
-                   (pen_of (moved_demands state move)
-                   - pen_of (state_demands state))
-          in
-          Prtelemetry.Histogram.observe move_delta dtime;
-          (dtime, new_used)
-        in
-        (* The descent's batched form of the same accounting: one
-           charge per step for all the moves its scan evaluated. *)
+        (* Move accounting, batched: one charge per descent step (and
+           one for the restart ranking) for all the moves its scan
+           evaluated. *)
         let charge ~moves ~merges =
           Prtelemetry.Counter.incr ~by:moves moves_evaluated;
           Prtelemetry.Counter.incr ~by:merges delta_evals;
@@ -737,25 +795,10 @@ let allocate ?(options = default_options) ?(pair_weight = fun _ _ -> 1.)
           (* Alternative first moves: the initial state's candidate moves
              ranked by (time delta, area), truncated to the restart budget. *)
           let restarts =
-            let used = used_resources base in
-            let ranked =
-              List.sort
-                (fun (_, t1, u1) (_, t2, u2) ->
-                  match compare t1 t2 with
-                  | 0 -> compare (scalar u1) (scalar u2)
-                  | c -> c)
-                (List.map
-                   (fun m ->
-                     let dtime, new_used = evaluate_move base used m in
-                     (m, dtime, new_used))
-                   (candidate_moves ~promote_static:options.promote_static base))
-            in
-            let rec take n = function
-              | [] -> []
-              | _ when n = 0 -> []
-              | (m, _, _) :: rest -> Some m :: take (n - 1) rest
-            in
-            None :: take options.max_restarts ranked
+            None
+            :: List.map Option.some
+                 (first_moves ~promote_static:options.promote_static
+                    ~limit:options.max_restarts ?penalty ?observe ~charge base)
           in
           let best =
             List.fold_left
@@ -841,6 +884,12 @@ module Search = struct
       evaluated = !evaluated;
       merges_evaluated = !merges_evaluated;
       feasible = Option.is_some outcome }
+
+  let first_moves ?(options = default_options) ?placement ?observe ~charge
+      state =
+    let penalty = Option.map (fun p -> p.Cost.placement_cost) placement in
+    first_moves ~promote_static:options.promote_static
+      ~limit:options.max_restarts ?penalty ?observe ~charge state
 
   let alive state r = state.regions.(r).alive
 

@@ -163,6 +163,20 @@ module Search : sig
       for each restart. [observe] sees every evaluated move's time
       delta, in scan order. *)
 
+  val first_moves :
+    ?options:options ->
+    ?placement:Cost.placement ->
+    ?observe:(float -> unit) ->
+    charge:(moves:int -> merges:int -> unit) ->
+    state ->
+    move list
+  (** The alternative first moves {!allocate} restarts from, best
+      first: the moves of [state] ranked by (time delta, area
+      of the resulting usage), ties in {!moves}' order, cut to
+      [options.max_restarts]. [charge] is told once how many moves
+      (and merges among them) the ranking evaluated; [observe] sees
+      each move's time delta. *)
+
   val alive : state -> int -> bool
 
   val region_conflicts : state -> int -> float

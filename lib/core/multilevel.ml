@@ -65,7 +65,7 @@ let nodes design =
 (* Active-configuration sets as bitmasks (63 bits per word), so
    compatibility of two coarse nodes — disjoint activity — is a few
    word ANDs instead of a configuration scan. *)
-let words_for configs = max 1 ((configs + 62) / 63)
+let words_for configs = Int.max 1 ((configs + 62) / 63)
 
 let mask_of_activity ~words act =
   let mask = Array.make words 0 in
@@ -95,37 +95,156 @@ let popcount mask =
     mask;
   !count
 
-(* A coarse node: a set of pairwise-compatible original partitions that
-   will share a region. [conflicts] is the node's internal conflicting
-   configuration-pair count, maintained with the same O(1) delta the
-   exact allocator uses (disjoint active sets, so merging [a] and [b]
-   adds exactly [a.acts * b.acts] cross pairs). *)
-type cnode = {
-  mutable members : int list;
-  mutable mask : int array;
-  mutable acts : int;
-  mutable res : Resource.t;  (* component-wise max: the region area law *)
-  mutable conflicts : int;
-  mutable alive : bool;
+(* Coarse nodes as flat per-node arrays, so scoring a pair allocates
+   nothing and calls nothing outside this module (the dev build passes
+   [-opaque], so no cross-module call is inlined). A node is a set of
+   pairwise-compatible original partitions that will share a region.
+   Its area is kept as tile counts per kind: tile counts are rounded-up
+   quotients, monotone in the primitive count, so
+   [Tile.quantize (Resource.max a b)] is the component-wise max of the
+   two quantized areas and a merged node's tiles are the max of its
+   halves'. [conflicts] is the internal conflicting configuration-pair
+   count, maintained with the same O(1) delta the exact allocator uses
+   (disjoint active sets, so merging [a] and [b] adds exactly
+   [acts a * acts b] cross pairs). *)
+type flat = {
+  words : int;
+  mask : int array;  (* node k's activity words at [k * words] *)
+  acts : int array;
+  conflicts : int array;
+  clb : int array;  (* tiles of each kind *)
+  bram : int array;
+  dsp : int array;
+  frames : int array;
+  area : float array;  (* [Allocator.scalar] of the quantized area *)
 }
 
-let node_frames node = Tile.frames_of_resources node.res
+let clb_prims = Tile.primitives_per_tile Clb
+let bram_prims = Tile.primitives_per_tile Bram
+let dsp_prims = Tile.primitives_per_tile Dsp
+let clb_frames = Tile.frames_per_tile Clb
+let bram_frames = Tile.frames_per_tile Bram
+let dsp_frames = Tile.frames_per_tile Dsp
+
+(* [Allocator.scalar]'s weights and arithmetic, operand order included,
+   so an area here is bit-equal to [Allocator.scalar (Tile.quantize r)]. *)
+let frames_per_clb = float_of_int clb_frames /. 20.
+let frames_per_bram = float_of_int bram_frames /. 4.
+let frames_per_dsp = float_of_int dsp_frames /. 8.
+
+let[@inline] frames_of_tiles c b d =
+  (c * clb_frames) + (b * bram_frames) + (d * dsp_frames)
+
+let[@inline] area_of_tiles c b d =
+  (float_of_int (c * clb_prims) *. frames_per_clb)
+  +. (float_of_int (b * bram_prims) *. frames_per_bram)
+  +. (float_of_int (d * dsp_prims) *. frames_per_dsp)
+
+let flat_make ~words n =
+  { words;
+    mask = Array.make (n * words) 0;
+    acts = Array.make n 0;
+    conflicts = Array.make n 0;
+    clb = Array.make n 0;
+    bram = Array.make n 0;
+    dsp = Array.make n 0;
+    frames = Array.make n 0;
+    area = Array.make n 0. }
+
+(* One node per partition, each alone. *)
+let leaves ~words ~masks ~(resources : Resource.t array) =
+  let n = Array.length resources in
+  let f = flat_make ~words n in
+  for p = 0 to n - 1 do
+    Array.blit masks.(p) 0 f.mask (p * words) words;
+    f.acts.(p) <- popcount masks.(p);
+    let r = resources.(p) in
+    let c = Tile.tiles_for Clb r.clb
+    and b = Tile.tiles_for Bram r.bram
+    and d = Tile.tiles_for Dsp r.dsp in
+    f.clb.(p) <- c;
+    f.bram.(p) <- b;
+    f.dsp.(p) <- d;
+    f.frames.(p) <- frames_of_tiles c b d;
+    f.area.(p) <- area_of_tiles c b d
+  done;
+  f
+
+let copy_node ~src p ~dst k =
+  Array.blit src.mask (p * src.words) dst.mask (k * dst.words) dst.words;
+  dst.acts.(k) <- src.acts.(p);
+  dst.conflicts.(k) <- src.conflicts.(p);
+  dst.clb.(k) <- src.clb.(p);
+  dst.bram.(k) <- src.bram.(p);
+  dst.dsp.(k) <- src.dsp.(p);
+  dst.frames.(k) <- src.frames.(p);
+  dst.area.(k) <- src.area.(p)
+
+(* Node [a] of [dst] absorbs node [b] of [src]. *)
+let absorb ~dst a ~src b =
+  let words = dst.words in
+  for w = 0 to words - 1 do
+    dst.mask.((a * words) + w) <-
+      dst.mask.((a * words) + w) lor src.mask.((b * words) + w)
+  done;
+  dst.conflicts.(a) <-
+    dst.conflicts.(a) + src.conflicts.(b) + (dst.acts.(a) * src.acts.(b));
+  dst.acts.(a) <- dst.acts.(a) + src.acts.(b);
+  let c = Int.max dst.clb.(a) src.clb.(b)
+  and bm = Int.max dst.bram.(a) src.bram.(b)
+  and d = Int.max dst.dsp.(a) src.dsp.(b) in
+  dst.clb.(a) <- c;
+  dst.bram.(a) <- bm;
+  dst.dsp.(a) <- d;
+  dst.frames.(a) <- frames_of_tiles c bm d;
+  dst.area.(a) <- area_of_tiles c bm d
+
+let[@inline] nodes_disjoint f a b =
+  let words = f.words in
+  if words = 1 then f.mask.(a) land f.mask.(b) = 0
+  else begin
+    let ok = ref true and w = ref 0 in
+    while !ok && !w < words do
+      if f.mask.((a * words) + !w) land f.mask.((b * words) + !w) <> 0 then
+        ok := false;
+      incr w
+    done;
+    !ok
+  end
 
 (* Reconfiguration-time delta of merging two compatible nodes into one
    region — the hyperedge weight the matching minimises (then maximal
    area saving as the tiebreak), the multilevel analogue of the greedy
    allocator's move ranking. *)
-let merge_dtime a b =
-  let merged = Resource.max a.res b.res in
-  let fm = Tile.frames_of_resources merged in
-  (fm * (a.conflicts + b.conflicts + (a.acts * b.acts)))
-  - (node_frames a * a.conflicts)
-  - (node_frames b * b.conflicts)
+let[@inline] merge_dtime f a b =
+  let fm =
+    frames_of_tiles
+      (Int.max f.clb.(a) f.clb.(b))
+      (Int.max f.bram.(a) f.bram.(b))
+      (Int.max f.dsp.(a) f.dsp.(b))
+  in
+  (fm * (f.conflicts.(a) + f.conflicts.(b) + (f.acts.(a) * f.acts.(b))))
+  - (f.frames.(a) * f.conflicts.(a))
+  - (f.frames.(b) * f.conflicts.(b))
 
-let merge_area_gain a b =
-  Allocator.scalar (Tile.quantize a.res)
-  +. Allocator.scalar (Tile.quantize b.res)
-  -. Allocator.scalar (Tile.quantize (Resource.max a.res b.res))
+(* Per-unit statistics of one level's units, for partner ranking: each
+   unit absorbs its members in order. *)
+let unit_nodes leaves units =
+  let f = flat_make ~words:leaves.words (Array.length units) in
+  Array.iteri
+    (fun u members ->
+      match members with
+      | [] -> ()
+      | first :: rest ->
+        copy_node ~src:leaves first ~dst:f u;
+        List.iter (fun p -> absorb ~dst:f u ~src:leaves p) rest)
+    units;
+  f
+
+let unit_scores ~masks ~resources units =
+  let words = if Array.length masks = 0 then 1 else Array.length masks.(0) in
+  let f = unit_nodes (leaves ~words ~masks ~resources) units in
+  merge_dtime f
 
 (* Bounded top-[limit] partner lists: each unordered pair of units with
    disjoint activity is scored once and offered to both units' buffers,
@@ -133,7 +252,7 @@ let merge_area_gain a b =
    gives the pairs — so no candidate list is built or sorted. *)
 let rank_partners ~limit ~masks ~score =
   let n = Array.length masks in
-  let limit = max 0 limit in
+  let limit = Int.max 0 limit in
   let top_score = Array.make (n * limit) 0 in
   let top_v = Array.make (n * limit) 0 in
   let len = Array.make n 0 in
@@ -141,7 +260,7 @@ let rank_partners ~limit ~masks ~score =
   let offer u s v =
     let base = u * limit and l = len.(u) in
     if l < limit || before s v (base + l - 1) then begin
-      let i = ref (base + min l (limit - 1)) in
+      let i = ref (base + Int.min l (limit - 1)) in
       while !i > base && before s v (!i - 1) do
         top_score.(!i) <- top_score.(!i - 1);
         top_v.(!i) <- top_v.(!i - 1);
@@ -181,6 +300,181 @@ let epsilon ~budget ~(demand : Resource.t) =
   in
   if Float.is_finite e then Float.max 0. e /. 3. else 0.
 
+(* Stable merge sort of the pair indices [order] by (dtime, -gain)
+   ascending, [tmp] the scratch of the same length. Pairs are pushed in
+   ascending (i, j), so equal keys keep that order and the result is the
+   full (dtime, -gain, i, j) order. *)
+let sort_pairs ~(dtime : int array) ~(neg_gain : float array) order tmp =
+  let len = Array.length order in
+  let before x y =
+    let dx = dtime.(x) and dy = dtime.(y) in
+    dx < dy || (dx = dy && Float.compare neg_gain.(x) neg_gain.(y) < 0)
+  in
+  let src = ref order and dst = ref tmp and width = ref 1 in
+  while !width < len do
+    let s = !src and d = !dst in
+    let lo = ref 0 in
+    while !lo < len do
+      let mid = Int.min (!lo + !width) len in
+      let hi = Int.min (mid + !width) len in
+      let i = ref !lo and j = ref mid and k = ref !lo in
+      while !i < mid && !j < hi do
+        if before s.(!j) s.(!i) then begin
+          d.(!k) <- s.(!j);
+          incr j
+        end
+        else begin
+          d.(!k) <- s.(!i);
+          incr i
+        end;
+        incr k
+      done;
+      Array.blit s !i d !k (mid - !i);
+      Array.blit s !j d (!k + mid - !i) (hi - !j);
+      lo := hi
+    done;
+    src := d;
+    dst := s;
+    width := 2 * !width
+  done;
+  if !src != order then Array.blit !src 0 order 0 len
+
+(* Heavy-edge matching rounds over [leaves] until the node count reaches
+   [coarsest] or no admissible merge remains. Returns each round's
+   snapshot (its coarse nodes' members, in node order), coarsest first,
+   and the number of merges. *)
+let coarsen_nodes ~coarsest ~(budget : Resource.t) leaves =
+  let n = Array.length leaves.acts in
+  let f = flat_make ~words:leaves.words n in
+  for p = 0 to n - 1 do
+    copy_node ~src:leaves p ~dst:f p
+  done;
+  let members = Array.init n (fun p -> [ p ]) in
+  let alive = Array.make n true in
+  let merges = ref 0 in
+  let snapshots = ref [] in
+  let snapshot () =
+    let units = ref [] in
+    for i = n - 1 downto 0 do
+      if alive.(i) then units := members.(i) :: !units
+    done;
+    Array.of_list !units
+  in
+  let continue = ref true in
+  while !continue do
+    let nlive = ref 0 and dc = ref 0 and db = ref 0 and dd = ref 0 in
+    for i = 0 to n - 1 do
+      if alive.(i) then begin
+        incr nlive;
+        dc := !dc + (f.clb.(i) * clb_prims);
+        db := !db + (f.bram.(i) * bram_prims);
+        dd := !dd + (f.dsp.(i) * dsp_prims)
+      end
+    done;
+    let nlive = !nlive in
+    if nlive <= coarsest then continue := false
+    else begin
+      let k = Int.max coarsest (nlive / 2) in
+      let eps =
+        epsilon ~budget ~demand:{ Resource.clb = !dc; bram = !db; dsp = !dd }
+      in
+      let cap r_budget r_demand =
+        (1. +. eps) *. float_of_int r_demand /. float_of_int k
+        |> Float.max (float_of_int r_budget /. float_of_int k)
+      in
+      let cap_clb = cap budget.clb !dc
+      and cap_bram = cap budget.bram !db
+      and cap_dsp = cap budget.dsp !dd in
+      let admissible i j =
+        alive.(j)
+        && nodes_disjoint f i j
+        && float_of_int (Int.max f.clb.(i) f.clb.(j) * clb_prims) <= cap_clb
+        && float_of_int (Int.max f.bram.(i) f.bram.(j) * bram_prims)
+           <= cap_bram
+        && float_of_int (Int.max f.dsp.(i) f.dsp.(j) * dsp_prims) <= cap_dsp
+      in
+      (* Count the compatible, balance-admissible pairs, then score them
+         into arrays of that size in ascending (i, j); a pair is stored
+         as [i * n + j]. *)
+      let npairs = ref 0 in
+      for i = 0 to n - 1 do
+        if alive.(i) then
+          for j = i + 1 to n - 1 do
+            if admissible i j then incr npairs
+          done
+      done;
+      let dtime = Array.make !npairs 0
+      and neg_gain = Array.make !npairs 0.
+      and ij = Array.make !npairs 0 in
+      let x = ref 0 in
+      for i = 0 to n - 1 do
+        if alive.(i) then
+          for j = i + 1 to n - 1 do
+            if admissible i j then begin
+              dtime.(!x) <- merge_dtime f i j;
+              neg_gain.(!x) <-
+                -.(f.area.(i) +. f.area.(j)
+                   -. area_of_tiles
+                        (Int.max f.clb.(i) f.clb.(j))
+                        (Int.max f.bram.(i) f.bram.(j))
+                        (Int.max f.dsp.(i) f.dsp.(j)));
+              ij.(!x) <- (i * n) + j;
+              incr x
+            end
+          done
+      done;
+      let order = Array.init !npairs Fun.id in
+      sort_pairs ~dtime ~neg_gain order (Array.make !npairs 0);
+      let matched = Array.make n false in
+      let applied = ref 0 in
+      let to_merge = nlive - k in
+      Array.iter
+        (fun x ->
+          let i = ij.(x) / n and j = ij.(x) mod n in
+          if !applied < to_merge && not matched.(i) && not matched.(j)
+          then begin
+            matched.(i) <- true;
+            matched.(j) <- true;
+            absorb ~dst:f i ~src:f j;
+            members.(i) <- members.(i) @ members.(j);
+            alive.(j) <- false;
+            incr applied
+          end)
+        order;
+      if !applied = 0 then continue := false
+      else begin
+        merges := !merges + !applied;
+        snapshots := snapshot () :: !snapshots
+      end
+    end
+  done;
+  (!snapshots, !merges)
+
+(* Each partition's active configurations, and the partitions as
+   flat leaf nodes. *)
+let activity_leaves design analysis ~resources =
+  let configs = Design.configuration_count design in
+  let words = words_for configs in
+  let activity =
+    Array.init (Array.length resources) (fun p ->
+        Array.init configs (fun c ->
+            Compatibility.active analysis ~bp:p ~config:c))
+  in
+  let masks = Array.map (mask_of_activity ~words) activity in
+  (activity, leaves ~words ~masks ~resources)
+
+let coarsen ?(options = default_options) ~budget design partitions =
+  match partitions with
+  | [] -> []
+  | _ ->
+    let parts = Array.of_list partitions in
+    let analysis = Compatibility.analyse design parts in
+    if not (Compatibility.covers_design analysis) then []
+    else
+      let resources = Array.map (fun bp -> bp.Base_partition.resources) parts in
+      let _, leaves = activity_leaves design analysis ~resources in
+      fst (coarsen_nodes ~coarsest:options.coarsest ~budget leaves)
+
 exception Interrupted
 
 let allocate_stats ?(options = default_options)
@@ -209,159 +503,28 @@ let allocate_stats ?(options = default_options)
       let passes_counter =
         Prtelemetry.counter telemetry "multilevel.refine_passes"
       in
-      let configs = Design.configuration_count design in
-      let words = words_for configs in
-      let activity =
-        Array.init n (fun p ->
-            Array.init configs (fun c ->
-                Compatibility.active analysis ~bp:p ~config:c))
-      in
       let resources = Array.map (fun bp -> bp.Base_partition.resources) parts in
-      let masks = Array.map (mask_of_activity ~words) activity in
-      let cnodes =
-        Array.init n (fun p ->
-            { members = [ p ];
-              mask = Array.copy masks.(p);
-              acts = popcount masks.(p);
-              res = resources.(p);
-              conflicts = 0;
-              alive = true })
+      let activity, leaves = activity_leaves design analysis ~resources in
+      let words = leaves.words in
+      let snapshots, merges =
+        Prtelemetry.with_span telemetry "multilevel.coarsen" (fun () ->
+            coarsen_nodes ~coarsest:options.coarsest ~budget leaves)
       in
-      (* --- Coarsening: heavy-edge matching rounds until the node count
-         reaches the coarsest target or no admissible merge remains. *)
-      let levels = ref 0 in
-      let merges = ref 0 in
-      let snapshots = ref [] in
-      let snapshot () =
-        let units = ref [] in
-        for i = n - 1 downto 0 do
-          if cnodes.(i).alive then units := cnodes.(i).members :: !units
-        done;
-        Array.of_list !units
-      in
-      let live_count () =
-        Array.fold_left (fun acc c -> if c.alive then acc + 1 else acc) 0 cnodes
-      in
-      (* Pair buffers, reused by every level and grown by doubling. *)
-      let pair_dtime = ref [||]
-      and pair_neg_gain = ref [||]
-      and pair_ij = ref [||] in
-      let () = Prtelemetry.with_span telemetry "multilevel.coarsen" @@ fun () ->
-      let continue = ref true in
-      while !continue do
-        let nlive = live_count () in
-        if nlive <= options.coarsest then continue := false
-        else begin
-          let k = max options.coarsest (nlive / 2) in
-          let demand =
-            Array.fold_left
-              (fun acc c ->
-                if c.alive then Resource.add acc (Tile.quantize c.res) else acc)
-              Resource.zero cnodes
-          in
-          let eps = epsilon ~budget ~demand in
-          let cap r_budget r_demand =
-            (1. +. eps) *. float_of_int r_demand /. float_of_int k
-            |> Float.max (float_of_int r_budget /. float_of_int k)
-          in
-          let cap_clb = cap budget.Resource.clb demand.Resource.clb
-          and cap_bram = cap budget.Resource.bram demand.Resource.bram
-          and cap_dsp = cap budget.Resource.dsp demand.Resource.dsp in
-          let admissible a b =
-            let merged = Tile.quantize (Resource.max a.res b.res) in
-            float_of_int merged.Resource.clb <= cap_clb
-            && float_of_int merged.Resource.bram <= cap_bram
-            && float_of_int merged.Resource.dsp <= cap_dsp
-          in
-          (* Score every compatible, balance-admissible pair into flat
-             arrays, then visit them in (dtime, -gain, i, j) order. A
-             pair is stored as [i * n + j], which orders like (i, j). *)
-          let npairs = ref 0 in
-          let push dtime neg_gain pair =
-            if !npairs = Array.length !pair_dtime then begin
-              let grow a fill =
-                let b = Array.make (max 64 (2 * Array.length a)) fill in
-                Array.blit a 0 b 0 !npairs;
-                b
-              in
-              pair_dtime := grow !pair_dtime 0;
-              pair_neg_gain := grow !pair_neg_gain 0.;
-              pair_ij := grow !pair_ij 0
-            end;
-            !pair_dtime.(!npairs) <- dtime;
-            !pair_neg_gain.(!npairs) <- neg_gain;
-            !pair_ij.(!npairs) <- pair;
-            incr npairs
-          in
-          for i = 0 to n - 1 do
-            if cnodes.(i).alive then
-              for j = i + 1 to n - 1 do
-                if
-                  cnodes.(j).alive
-                  && disjoint cnodes.(i).mask cnodes.(j).mask
-                  && admissible cnodes.(i) cnodes.(j)
-                then
-                  push
-                    (merge_dtime cnodes.(i) cnodes.(j))
-                    (-.merge_area_gain cnodes.(i) cnodes.(j))
-                    ((i * n) + j)
-              done
-          done;
-          let dtime = !pair_dtime
-          and neg_gain = !pair_neg_gain
-          and ij = !pair_ij in
-          let order = Array.init !npairs Fun.id in
-          Array.sort
-            (fun x y ->
-              match Int.compare dtime.(x) dtime.(y) with
-              | 0 -> (
-                match Float.compare neg_gain.(x) neg_gain.(y) with
-                | 0 -> Int.compare ij.(x) ij.(y)
-                | c -> c)
-              | c -> c)
-            order;
-          let matched = Array.make n false in
-          let applied = ref 0 in
-          let to_merge = nlive - k in
-          Array.iter
-            (fun x ->
-              let i = ij.(x) / n and j = ij.(x) mod n in
-              if !applied < to_merge && not matched.(i) && not matched.(j)
-              then begin
-                matched.(i) <- true;
-                matched.(j) <- true;
-                let a = cnodes.(i) and b = cnodes.(j) in
-                a.conflicts <- a.conflicts + b.conflicts + (a.acts * b.acts);
-                a.members <- a.members @ b.members;
-                Array.iteri (fun w bits -> a.mask.(w) <- a.mask.(w) lor bits)
-                  b.mask;
-                a.acts <- a.acts + b.acts;
-                a.res <- Resource.max a.res b.res;
-                b.alive <- false;
-                incr applied
-              end)
-            order;
-          if !applied = 0 then continue := false
-          else begin
-            merges := !merges + !applied;
-            incr levels;
-            snapshots := snapshot () :: !snapshots
-          end
-        end
-      done
-      in
-      Prtelemetry.Counter.incr ~by:!merges merges_counter;
+      Prtelemetry.Counter.incr ~by:merges merges_counter;
       (* --- Initial partition: every coarse node its own region
          (founded at its smallest member index), valid by construction
          since coarse nodes are internally compatible. *)
       let placement = Array.make n (-1) in
+      let coarsest =
+        match snapshots with
+        | [] -> Array.init n (fun p -> [ p ])
+        | coarsest :: _ -> coarsest
+      in
       Array.iter
-        (fun c ->
-          if c.alive then begin
-            let rep = List.fold_left min max_int c.members in
-            List.iter (fun p -> placement.(p) <- rep) c.members
-          end)
-        cnodes;
+        (fun members ->
+          let rep = List.fold_left Int.min max_int members in
+          List.iter (fun p -> placement.(p) <- rep) members)
+        coarsest;
       let energy =
         Energy.create
           ?penalty:(Option.map (fun p -> p.Cost.placement_cost) placement_hook)
@@ -381,7 +544,7 @@ let allocate_stats ?(options = default_options)
       let cur = ref (Energy.current energy) in
       let first_feasible = ref None in
       let note_feasible (_, feasible, total) =
-        if feasible && !first_feasible = None then
+        if feasible && Option.is_none !first_feasible then
           first_feasible := Some total
       in
       note_feasible !cur;
@@ -426,29 +589,6 @@ let allocate_stats ?(options = default_options)
         incr moves;
         Prtelemetry.Counter.incr moves_counter
       in
-      (* Unit statistics at one level, for partner ranking. *)
-      let unit_stats members =
-        let mask = Array.make words 0 in
-        let res = ref Resource.zero in
-        let acts = ref 0 in
-        let conflicts = ref 0 in
-        List.iter
-          (fun p ->
-            let a = popcount masks.(p) in
-            conflicts := !conflicts + (!acts * a);
-            acts := !acts + a;
-            Array.iteri
-              (fun w bits -> mask.(w) <- mask.(w) lor bits)
-              masks.(p);
-            res := Resource.max !res resources.(p))
-          members;
-        { members;
-          mask;
-          acts = !acts;
-          res = !res;
-          conflicts = !conflicts;
-          alive = true }
-      in
       let refine_level units =
         let n_units = Array.length units in
         let attrs =
@@ -475,10 +615,12 @@ let allocate_stats ?(options = default_options)
             (fun () ->
               if exhaustive then [||]
               else begin
-                let stats = Array.map unit_stats units in
+                let stats = unit_nodes leaves units in
                 rank_partners ~limit:options.partner_limit
-                  ~masks:(Array.map (fun c -> c.mask) stats)
-                  ~score:(fun u v -> merge_dtime stats.(u) stats.(v))
+                  ~masks:
+                    (Array.init n_units (fun u ->
+                         Array.sub stats.mask (u * words) words))
+                  ~score:(merge_dtime stats)
               end)
         in
         let level_pass () =
@@ -506,7 +648,7 @@ let allocate_stats ?(options = default_options)
                       if r >= 0 then Some r else None)
                     partners.(u)
               in
-              let joins = List.sort_uniq compare joins in
+              let joins = List.sort_uniq Int.compare joins in
               let extras =
                 (match isolate with Some r -> [ r ] | None -> [])
                 @ (if options.promote_static then [ -1 ] else [])
@@ -541,13 +683,13 @@ let allocate_stats ?(options = default_options)
          moves restore feasibility), then progressively finer units,
          ending at single partitions. *)
       (try
-         List.iter refine_level !snapshots;
+         List.iter refine_level snapshots;
          refine_level (Array.init n (fun p -> [ p ]))
        with Interrupted -> ());
       let _, feasible, total = !cur in
       let stats final_total =
-        { levels = !levels;
-          merges = !merges;
+        { levels = List.length snapshots;
+          merges;
           passes = !passes;
           moves = !moves;
           trials = !trials;

@@ -132,3 +132,30 @@ val rank_partners :
     refinement proposes. [score] must be symmetric: each unordered pair
     is scored once. [limit <= 0] gives no partners. Exposed for the
     Prscale differential test. *)
+
+val coarsen :
+  ?options:options ->
+  budget:Fpga.Resource.t ->
+  Prdesign.Design.t ->
+  Cluster.Base_partition.t list ->
+  int list array list
+(** The coarsening phase of {!allocate_stats} alone: each matching
+    round's snapshot, coarsest first (the order refinement replays
+    them). A snapshot lists the round's coarse nodes in node order, each
+    as its members in merge order. [[]] when the partition list is
+    empty, does not cover the design, or no round merged anything.
+    Exposed for the Prscale differential test. *)
+
+val unit_scores :
+  masks:int array array ->
+  resources:Fpga.Resource.t array ->
+  int list array ->
+  int ->
+  int ->
+  int
+(** [unit_scores ~masks ~resources units u v] is the partner score
+    refinement ranks [units] by: the reconfiguration-time delta of
+    merging units [u] and [v] into one region, given each partition's
+    activity bitmask (63 configurations per word) and resources. Each
+    unit absorbs its members in list order. Exposed for the Prscale
+    differential test. *)

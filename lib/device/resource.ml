@@ -11,9 +11,9 @@ let add a b = { clb = a.clb + b.clb; bram = a.bram + b.bram; dsp = a.dsp + b.dsp
 let sub a b = { clb = a.clb - b.clb; bram = a.bram - b.bram; dsp = a.dsp - b.dsp }
 
 let max a b =
-  { clb = Stdlib.max a.clb b.clb;
-    bram = Stdlib.max a.bram b.bram;
-    dsp = Stdlib.max a.dsp b.dsp }
+  { clb = Int.max a.clb b.clb;
+    bram = Int.max a.bram b.bram;
+    dsp = Int.max a.dsp b.dsp }
 
 let sum l = List.fold_left add zero l
 let scale k a = { clb = k * a.clb; bram = k * a.bram; dsp = k * a.dsp }

@@ -34,6 +34,11 @@ let default_rules =
       tolerance_pct = 0. };
     { pattern = "guard.evals_used"; direction = Unchanged;
       tolerance_pct = 0. };
+    (* The V-cycle's coarsening rounds, merges and refinement trials:
+       a changed merge order changes them. *)
+    { pattern = ".levels"; direction = Unchanged; tolerance_pct = 0. };
+    { pattern = ".merges"; direction = Unchanged; tolerance_pct = 0. };
+    { pattern = ".trials"; direction = Unchanged; tolerance_pct = 0. };
     { pattern = "moves_per_sec"; direction = Higher_better;
       tolerance_pct = 30. };
     (* Runtime size curve: the simulator replay and the placer at

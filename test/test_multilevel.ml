@@ -19,6 +19,10 @@ module Strategy = Prcore.Strategy
 module Multilevel = Prcore.Multilevel
 module Memo = Prcore.Memo
 module Resource = Fpga.Resource
+module Tile = Fpga.Tile
+module Compatibility = Prcore.Compatibility
+module Allocator = Prcore.Allocator
+module Base_partition = Cluster.Base_partition
 module Generator = Synth.Generator
 module Oracle = Prverify.Oracle
 module Diagnostic = Prverify.Diagnostic
@@ -240,6 +244,337 @@ let prop_partners_match_reference =
       Multilevel.rank_partners ~limit ~masks ~score
       = reference_partners ~limit ~masks ~score)
 
+(* ------------------------------------------------------------------ *)
+(* Coarsening and partner scores against the boxed-record scorer.     *)
+
+(* The coarse-node scorer as it stood before the flat per-node arrays,
+   kept verbatim as the reference: a record per node, a
+   [Resource.max]/[Tile.quantize] per scored pair, [Allocator.scalar]
+   area gains, and an [Array.sort] of the pair indices on
+   (dtime, -gain, i, j). *)
+type ref_node = {
+  mutable members : int list;
+  mutable mask : int array;
+  mutable acts : int;
+  mutable res : Resource.t;
+  mutable conflicts : int;
+  mutable alive : bool;
+}
+
+let ref_words_for configs = max 1 ((configs + 62) / 63)
+
+let ref_mask_of_activity ~words act =
+  let mask = Array.make words 0 in
+  Array.iteri
+    (fun c on ->
+      if on then
+        mask.(c / 63) <- mask.(c / 63) lor (1 lsl (c mod 63)))
+    act;
+  mask
+
+let ref_disjoint a b =
+  let ok = ref true in
+  for w = 0 to Array.length a - 1 do
+    if a.(w) land b.(w) <> 0 then ok := false
+  done;
+  !ok
+
+let ref_popcount mask =
+  let count = ref 0 in
+  Array.iter
+    (fun w ->
+      let w = ref w in
+      while !w <> 0 do
+        w := !w land (!w - 1);
+        incr count
+      done)
+    mask;
+  !count
+
+let ref_node_frames node = Tile.frames_of_resources node.res
+
+let ref_merge_dtime a b =
+  let merged = Resource.max a.res b.res in
+  let fm = Tile.frames_of_resources merged in
+  (fm * (a.conflicts + b.conflicts + (a.acts * b.acts)))
+  - (ref_node_frames a * a.conflicts)
+  - (ref_node_frames b * b.conflicts)
+
+let ref_merge_area_gain a b =
+  Allocator.scalar (Tile.quantize a.res)
+  +. Allocator.scalar (Tile.quantize b.res)
+  -. Allocator.scalar (Tile.quantize (Resource.max a.res b.res))
+
+let ref_epsilon ~budget ~(demand : Resource.t) =
+  let per b d = if d <= 0 then infinity else (float_of_int b /. float_of_int d) -. 1. in
+  let e =
+    Float.min
+      (per budget.Resource.clb demand.Resource.clb)
+      (Float.min
+         (per budget.Resource.bram demand.Resource.bram)
+         (per budget.Resource.dsp demand.Resource.dsp))
+  in
+  if Float.is_finite e then Float.max 0. e /. 3. else 0.
+
+(* The snapshots, coarsest first, and the number of compatible pairs
+   the balance ceiling rejected. *)
+let reference_coarsen ~coarsest ~budget design partitions =
+  let parts = Array.of_list partitions in
+  let n = Array.length parts in
+  let analysis = Compatibility.analyse design parts in
+  let configs = Design.configuration_count design in
+  let words = ref_words_for configs in
+  let activity =
+    Array.init n (fun p ->
+        Array.init configs (fun c ->
+            Compatibility.active analysis ~bp:p ~config:c))
+  in
+  let resources = Array.map (fun bp -> bp.Base_partition.resources) parts in
+  let masks = Array.map (ref_mask_of_activity ~words) activity in
+  let cnodes =
+    Array.init n (fun p ->
+        { members = [ p ];
+          mask = Array.copy masks.(p);
+          acts = ref_popcount masks.(p);
+          res = resources.(p);
+          conflicts = 0;
+          alive = true })
+  in
+  let rejected = ref 0 in
+  let snapshots = ref [] in
+  let snapshot () =
+    let units = ref [] in
+    for i = n - 1 downto 0 do
+      if cnodes.(i).alive then units := cnodes.(i).members :: !units
+    done;
+    Array.of_list !units
+  in
+  let live_count () =
+    Array.fold_left (fun acc c -> if c.alive then acc + 1 else acc) 0 cnodes
+  in
+  let pair_dtime = ref [||]
+  and pair_neg_gain = ref [||]
+  and pair_ij = ref [||] in
+  let continue = ref true in
+  while !continue do
+    let nlive = live_count () in
+    if nlive <= coarsest then continue := false
+    else begin
+      let k = max coarsest (nlive / 2) in
+      let demand =
+        Array.fold_left
+          (fun acc c ->
+            if c.alive then Resource.add acc (Tile.quantize c.res) else acc)
+          Resource.zero cnodes
+      in
+      let eps = ref_epsilon ~budget ~demand in
+      let cap r_budget r_demand =
+        (1. +. eps) *. float_of_int r_demand /. float_of_int k
+        |> Float.max (float_of_int r_budget /. float_of_int k)
+      in
+      let cap_clb = cap budget.Resource.clb demand.Resource.clb
+      and cap_bram = cap budget.Resource.bram demand.Resource.bram
+      and cap_dsp = cap budget.Resource.dsp demand.Resource.dsp in
+      let admissible a b =
+        let merged = Tile.quantize (Resource.max a.res b.res) in
+        float_of_int merged.Resource.clb <= cap_clb
+        && float_of_int merged.Resource.bram <= cap_bram
+        && float_of_int merged.Resource.dsp <= cap_dsp
+      in
+      let npairs = ref 0 in
+      let push dtime neg_gain pair =
+        if !npairs = Array.length !pair_dtime then begin
+          let grow a fill =
+            let b = Array.make (max 64 (2 * Array.length a)) fill in
+            Array.blit a 0 b 0 !npairs;
+            b
+          in
+          pair_dtime := grow !pair_dtime 0;
+          pair_neg_gain := grow !pair_neg_gain 0.;
+          pair_ij := grow !pair_ij 0
+        end;
+        !pair_dtime.(!npairs) <- dtime;
+        !pair_neg_gain.(!npairs) <- neg_gain;
+        !pair_ij.(!npairs) <- pair;
+        incr npairs
+      in
+      for i = 0 to n - 1 do
+        if cnodes.(i).alive then
+          for j = i + 1 to n - 1 do
+            if cnodes.(j).alive && ref_disjoint cnodes.(i).mask cnodes.(j).mask
+            then begin
+              if admissible cnodes.(i) cnodes.(j) then
+                push
+                  (ref_merge_dtime cnodes.(i) cnodes.(j))
+                  (-.ref_merge_area_gain cnodes.(i) cnodes.(j))
+                  ((i * n) + j)
+              else incr rejected
+            end
+          done
+      done;
+      let dtime = !pair_dtime
+      and neg_gain = !pair_neg_gain
+      and ij = !pair_ij in
+      let order = Array.init !npairs Fun.id in
+      Array.sort
+        (fun x y ->
+          match Int.compare dtime.(x) dtime.(y) with
+          | 0 -> (
+            match Float.compare neg_gain.(x) neg_gain.(y) with
+            | 0 -> Int.compare ij.(x) ij.(y)
+            | c -> c)
+          | c -> c)
+        order;
+      let matched = Array.make n false in
+      let applied = ref 0 in
+      let to_merge = nlive - k in
+      Array.iter
+        (fun x ->
+          let i = ij.(x) / n and j = ij.(x) mod n in
+          if !applied < to_merge && not matched.(i) && not matched.(j)
+          then begin
+            matched.(i) <- true;
+            matched.(j) <- true;
+            let a = cnodes.(i) and b = cnodes.(j) in
+            a.conflicts <- a.conflicts + b.conflicts + (a.acts * b.acts);
+            a.members <- a.members @ b.members;
+            Array.iteri (fun w bits -> a.mask.(w) <- a.mask.(w) lor bits)
+              b.mask;
+            a.acts <- a.acts + b.acts;
+            a.res <- Resource.max a.res b.res;
+            b.alive <- false;
+            incr applied
+          end)
+        order;
+      if !applied = 0 then continue := false
+      else snapshots := snapshot () :: !snapshots
+    end
+  done;
+  (!snapshots, !rejected)
+
+(* Huge-class designs, some with more than 63 configurations (so
+   activity masks span several words), under budgets from far below the
+   one-module-per-region usage (the balance ceiling rejects pairs) to
+   slack, and coarsening targets from one node up. *)
+let gen_coarsen_case =
+  QCheck2.Gen.(
+    let* seed = 0 -- 10_000 in
+    let* wide = bool in
+    let* modules = if wide then 8 -- 20 else 6 -- 30 in
+    let* headroom = oneofl [ 0.2; 0.5; 0.8; 1.0; 1.3; 2.0 ] in
+    let* coarsest = oneofl [ 1; 2; 4; 8; 16 ] in
+    let design =
+      if wide then
+        Generator.generate
+          ~spec:
+            { Generator.huge_spec with
+              modules = (modules, modules);
+              extra_configs = (64, 90) }
+          (Synth.Rng.make seed) Generator.Logic_intensive ~index:seed
+      else Generator.huge ~seed ~modules ()
+    in
+    return (design, huge_budget ~headroom design, coarsest))
+
+let coarsen_matches (design, budget, coarsest) =
+  let nodes = Multilevel.nodes design in
+  let expected, rejected =
+    reference_coarsen ~coarsest ~budget design nodes
+  in
+  let got =
+    Multilevel.coarsen
+      ~options:{ Multilevel.default_options with coarsest }
+      ~budget design nodes
+  in
+  (got = expected, rejected)
+
+let prop_coarsen_matches_reference =
+  QCheck2.Test.make
+    ~name:"flat coarsening snapshots equal the boxed-record scorer's"
+    ~count:150 gen_coarsen_case (fun case -> fst (coarsen_matches case))
+
+(* The property's generator must reach the multi-word mask path and the
+   balance ceiling; pin that on fixed cases. *)
+let test_coarsen_coverage () =
+  let cases =
+    QCheck2.Gen.generate ~n:60 ~rand:(Random.State.make [| 29 |])
+      gen_coarsen_case
+  in
+  let wide = ref 0 and rejecting = ref 0 in
+  List.iter
+    (fun ((design, _, _) as case) ->
+      let equal, rejected = coarsen_matches case in
+      if not equal then Alcotest.fail "coarsening differs from the reference";
+      if Design.configuration_count design > 63 then incr wide;
+      if rejected > 0 then incr rejecting)
+    cases;
+  Alcotest.(check bool) "some designs have over 63 configurations" true
+    (!wide > 0);
+  Alcotest.(check bool) "the balance ceiling rejects pairs somewhere" true
+    (!rejecting > 0)
+
+let ref_unit_stats ~masks ~resources members =
+  let words = Array.length masks.(0) in
+  let mask = Array.make words 0 in
+  let res = ref Resource.zero in
+  let acts = ref 0 in
+  let conflicts = ref 0 in
+  List.iter
+    (fun p ->
+      let a = ref_popcount masks.(p) in
+      conflicts := !conflicts + (!acts * a);
+      acts := !acts + a;
+      Array.iteri
+        (fun w bits -> mask.(w) <- mask.(w) lor bits)
+        masks.(p);
+      res := Resource.max !res resources.(p))
+    members;
+  { members;
+    mask;
+    acts = !acts;
+    res = !res;
+    conflicts = !conflicts;
+    alive = true }
+
+(* Random partitions of the nodes into units (members in random order,
+   an occasional empty unit), random masks of 1–3 words and random
+   areas. *)
+let gen_units =
+  QCheck2.Gen.(
+    let* n = 1 -- 30 in
+    let* words = 1 -- 3 in
+    let* masks =
+      array_size (return n) (array_size (return words) (0 -- max_int))
+    in
+    let* resources =
+      array_size (return n)
+        (map
+           (fun (c, b, d) -> Resource.make ~bram:b ~dsp:d c)
+           (triple (0 -- 5000) (0 -- 60) (0 -- 90)))
+    in
+    let* keys = array_size (return n) (0 -- 1_000) in
+    let* n_units = 1 -- (n + 1) in
+    let* owner = array_size (return n) (0 -- (n_units - 1)) in
+    let units = Array.make n_units [] in
+    let order = Array.init n Fun.id in
+    Array.stable_sort (fun a b -> Int.compare keys.(a) keys.(b)) order;
+    Array.iter (fun p -> units.(owner.(p)) <- p :: units.(owner.(p))) order;
+    return (masks, resources, units))
+
+let prop_unit_scores_match_reference =
+  QCheck2.Test.make ~name:"flat partner scores equal merge_dtime" ~count:300
+    gen_units (fun (masks, resources, units) ->
+      let stats = Array.map (ref_unit_stats ~masks ~resources) units in
+      let score = Multilevel.unit_scores ~masks ~resources units in
+      let n_units = Array.length units in
+      let ok = ref true in
+      for u = 0 to n_units - 1 do
+        for v = 0 to n_units - 1 do
+          if u <> v && score u v <> ref_merge_dtime stats.(u) stats.(v) then
+            ok := false
+        done
+      done;
+      !ok)
+
 let test_partner_edges () =
   (* Unit 2 overlaps everyone; units 0, 1 and 3 are mutually disjoint
      with tied scores. *)
@@ -458,7 +793,12 @@ let () =
         :: [ Alcotest.test_case "limits, ties and no partner" `Quick
                test_partner_edges;
              Alcotest.test_case "v-cycle child spans" `Quick
-               test_vcycle_spans ] );
+               test_vcycle_spans;
+             QCheck_alcotest.to_alcotest prop_unit_scores_match_reference ] );
+      ( "coarsening",
+        [ QCheck_alcotest.to_alcotest prop_coarsen_matches_reference;
+          Alcotest.test_case "reaches wide masks and the balance ceiling"
+            `Quick test_coarsen_coverage ] );
       ( "strategy",
         [ Alcotest.test_case "name surface" `Quick test_strategy_names ] );
       ( "memo",

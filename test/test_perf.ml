@@ -376,6 +376,105 @@ let prop_descent_matches_reference =
            = Allocator.Search.signature reference
       | _ -> QCheck2.assume_fail ())
 
+(* The restart ranking as it stood before it read the pair table: list
+   the candidate moves, evaluate each (a fresh cross term per merge),
+   sort the list by (time delta, area) with the polymorphic compare and
+   keep the first [max_restarts]. Kept verbatim, on [Allocator.Search],
+   as the reference for [Allocator.Search.first_moves]: the same moves,
+   evaluation counts and time deltas. *)
+let reference_first_moves ~(options : Allocator.options) ?placement state =
+  let module S = Allocator.Search in
+  let scalar = Allocator.scalar in
+  let pen_of demands =
+    match placement with
+    | None -> 0
+    | Some p -> p.Cost.placement_cost demands
+  in
+  let evaluated = ref 0 and merges = ref 0 and deltas = ref [] in
+  let evaluate_move state used move =
+    incr evaluated;
+    (match move with S.Merge _ -> incr merges | S.Promote _ -> ());
+    let dtime, new_used = S.evaluate state used move in
+    let dtime =
+      match placement with
+      | None -> dtime
+      | Some _ ->
+        dtime
+        +. float_of_int
+             (pen_of (S.moved_demands state move) - pen_of (S.demands state))
+    in
+    deltas := dtime :: !deltas;
+    (dtime, new_used)
+  in
+  let used = S.used state in
+  let ranked =
+    List.sort
+      (fun (_, t1, u1) (_, t2, u2) ->
+        match compare t1 t2 with
+        | 0 -> compare (scalar u1) (scalar u2)
+        | c -> c)
+      (List.map
+         (fun m ->
+           let dtime, new_used = evaluate_move state used m in
+           (m, dtime, new_used))
+         (S.moves ~promote_static:options.promote_static state))
+  in
+  let rec take n = function
+    | [] -> []
+    | _ when n = 0 -> []
+    | (m, _, _) :: rest -> m :: take (n - 1) rest
+  in
+  (take options.max_restarts ranked, !evaluated, !merges, List.rev !deltas)
+
+let prop_first_moves_match_reference =
+  QCheck2.Test.make
+    ~name:"table restart ranking equals the sorted move list"
+    ~count:120
+    QCheck2.Gen.(pair gen_design (0 -- 1_000_000))
+    (fun (design, seed) ->
+      let set = covering_set design in
+      let pair_weight =
+        if seed land 1 = 0 then None else Some (skewed_weight seed)
+      in
+      let options =
+        { Allocator.promote_static = seed land 2 = 0;
+          max_restarts = [| 8; 0; 1; 3; 50; -1 |].(seed / 16 mod 6) }
+      in
+      let placement =
+        if seed land 4 = 0 then None
+        else
+          Option.map Flow.Tool_flow.placement_hook
+            (Fpga.Device.smallest_fitting (Design.modular_requirement design))
+      in
+      match
+        ( Allocator.Search.initial ?pair_weight design set,
+          Allocator.Search.initial ?pair_weight design set )
+      with
+      | Some reference, Some table ->
+        (* Rank a state one move in too, where the table has been
+           updated rather than filled. *)
+        (if seed land 8 <> 0 then
+           match Allocator.Search.moves reference with
+           | [] -> ()
+           | moves ->
+             let m = List.nth moves (seed mod List.length moves) in
+             Allocator.Search.apply reference m;
+             Allocator.Search.apply table m);
+        let expected = reference_first_moves ~options ?placement reference in
+        let evaluated = ref 0 and merges = ref 0 and deltas = ref [] in
+        let got =
+          Allocator.Search.first_moves ~options ?placement
+            ~observe:(fun d -> deltas := d :: !deltas)
+            ~charge:(fun ~moves ~merges:m ->
+              evaluated := !evaluated + moves;
+              merges := !merges + m)
+            table
+        in
+        let moves, e, m, d = expected in
+        got = moves && !evaluated = e && !merges = m
+        && bits_equal (List.rev !deltas) d
+      | _ -> QCheck2.assume_fail ())
+
 let allocator_step_tests =
   [ Alcotest.test_case "Allocator.scalar equals the 1.8/7.5/3.5 literals"
       `Quick (fun () ->
@@ -793,6 +892,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_allocator_delta;
             prop_descent_matches_reference;
+            prop_first_moves_match_reference;
             prop_energy_incremental;
             prop_energy_incremental_with_penalty;
             prop_energy_unit_moves;

@@ -512,7 +512,10 @@ let regress_tests =
           [ ("allocator", "moves_evaluated", 545_980);
             ("allocator", "delta_evals", 262_400);
             ("guard", "evals_used", 1610);
-            ("guard", "evals_used", 0) ]);
+            ("guard", "evals_used", 0);
+            ("multilevel", "levels", 2);
+            ("m100", "merges", 100);
+            ("m100", "trials", 10_357) ]);
     Alcotest.test_case "missing metric is a regression" `Quick (fun () ->
         let baseline = bench_doc ~moves:2.0e6 ~speedup:1.0 ~hit_rate:0.9 in
         let latest = obj [ ("sweep", obj [ ("speedup", Json.Float 1.0) ]) ] in
