@@ -32,7 +32,7 @@ verify: build
 	dune exec bin/prpart.exe -- check examples/designs/adaptive-router.xml --budget 2200,20,8
 
 # Differential fuzzing plus the seeded mutation-kill matrix: 200 random
-# designs cross-checked seq-vs-par / memo-vs-fresh / oracle-vs-reported,
+# designs cross-checked seq-vs-par / reported-vs-direct / oracle-vs-reported,
 # and nine seeded corruptions that must each fire exactly their code.
 fuzz: build
 	dune exec bin/prpart.exe -- fuzz --count 200 --kills
@@ -59,7 +59,7 @@ bench-smoke:
 
 # Machine-readable performance artefact (allocator moves/sec, engine
 # solve latency, sweep throughput over the host_domains scaling matrix,
-# cache hit rate). Writes BENCH_core.json and appends the same metrics
+# serve latency per cache outcome). Writes BENCH_core.json and appends the same metrics
 # to BENCH_history.jsonl for regression tracking.
 bench-json:
 	dune exec bench/main.exe -- bench-json
@@ -73,7 +73,7 @@ perf-compare: bench-json
 	dune exec bench/main.exe -- bench-compare
 
 # Full Bechamel suite, gated on the smoke (which asserts parallel
-# determinism and cache effectiveness before any numbers are reported),
+# determinism and live delta kernels before any numbers are reported),
 # followed by the regression diff against the bench history.
 perf: bench-smoke
 	dune exec bench/main.exe -- perf

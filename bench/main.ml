@@ -327,10 +327,9 @@ let bechamel_ns test =
    (1) a tiny sweep with --jobs 2 must be bit-identical to the
    sequential one, (2) the parallel case-study solve must equal the
    sequential solve, and (3) the case-study solve must exercise the
-   evaluation cache (perf.cache_hits > 0) and the delta kernels
-   (perf.delta_evals > 0). Exits 1 on any violation. *)
+   delta kernels (perf.delta_evals > 0). Exits 1 on any violation. *)
 let prspeed_smoke () =
-  section "Prspeed smoke: parallel determinism + cache effectiveness";
+  section "Prspeed smoke: parallel determinism + delta kernels";
   let fail fmt =
     Printf.ksprintf
       (fun m ->
@@ -360,14 +359,12 @@ let prspeed_smoke () =
     || a.Prcore.Engine.evaluation <> b.Prcore.Engine.evaluation
     || a.Prcore.Engine.cost_evaluations <> b.Prcore.Engine.cost_evaluations
   then fail "parallel case-study solve diverged from the sequential one";
-  let hits = Prtelemetry.counter_value tele "perf.cache_hits" in
   let deltas = Prtelemetry.counter_value tele "perf.delta_evals" in
-  if hits <= 0 then fail "case-study solve recorded no cache hits";
   if deltas <= 0 then fail "case-study solve recorded no delta evaluations";
   Printf.printf
     "prspeed smoke OK (%d-design sweep and case-study solve identical \
-     across jobs; %d cache hits, %d delta evals)\n"
-    sweep_n hits deltas
+     across jobs; %d delta evals)\n"
+    sweep_n deltas
 
 (* Prverify smoke (runs under --quick, so `dune runtest` gates on it):
    (1) every library design passes the independent design oracle,
@@ -1015,7 +1012,8 @@ type serve_load_stats = {
   sl_errors : int;
   sl_wall_s : float;
   sl_qps : float;
-  sl_p50_ms : float;
+  sl_hit_p50_ms : float;
+  sl_miss_p50_ms : float;
   sl_p99_ms : float;
   sl_hit_rate : float;
 }
@@ -1023,7 +1021,9 @@ type serve_load_stats = {
 (* Each client walks its own slice of the design list with every
    design requested twice in a row, so a population of [requests / 2]
    designs yields an exactly 50% duplicate mix (a smaller population
-   raises the duplicate rate and the slices overlap). *)
+   raises the duplicate rate and the slices overlap). At that mix the
+   overall median falls between the cache-hit and cache-miss modes, so
+   the median is reported per cache outcome. *)
 let serve_load ?(clients = 4) ~requests server designs =
   let xmls = Array.of_list (List.map design_one_line designs) in
   let n = Array.length xmls in
@@ -1034,6 +1034,7 @@ let serve_load ?(clients = 4) ~requests server designs =
   and rejected = Atomic.make 0
   and errors = Atomic.make 0 in
   let latencies = Array.make total 0. in
+  let hit = Array.make total false in
   let t0 = Unix.gettimeofday () in
   let worker c =
     for i = 0 to per - 1 do
@@ -1046,7 +1047,10 @@ let serve_load ?(clients = 4) ~requests server designs =
       latencies.((c * per) + i) <- (Unix.gettimeofday () -. s) *. 1000.;
       if str_starts "OK {" reply then begin
         Atomic.incr oks;
-        if str_contains reply "\"cached\":true" then Atomic.incr cached
+        if str_contains reply "\"cached\":true" then begin
+          Atomic.incr cached;
+          hit.((c * per) + i) <- true
+        end
       end
       else if str_starts "REJECT {" reply then Atomic.incr rejected
       else Atomic.incr errors
@@ -1055,9 +1059,15 @@ let serve_load ?(clients = 4) ~requests server designs =
   let threads = List.init clients (fun c -> Thread.create worker c) in
   List.iter Thread.join threads;
   let wall = Unix.gettimeofday () -. t0 in
-  Array.sort compare latencies;
-  let pct p =
-    latencies.(min (total - 1) (int_of_float (p *. float_of_int total)))
+  let pct p sample =
+    let sorted = Array.of_list sample in
+    Array.sort compare sorted;
+    let n = Array.length sorted in
+    if n = 0 then 0.
+    else sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
+  in
+  let split cached =
+    List.filteri (fun i _ -> hit.(i) = cached) (Array.to_list latencies)
   in
   let cache = Prserve.Server.cache server in
   let hits = Prserve.Cache.hits cache and misses = Prserve.Cache.misses cache in
@@ -1068,8 +1078,9 @@ let serve_load ?(clients = 4) ~requests server designs =
     sl_errors = Atomic.get errors;
     sl_wall_s = wall;
     sl_qps = (if wall > 0. then float_of_int total /. wall else 0.);
-    sl_p50_ms = pct 0.5;
-    sl_p99_ms = pct 0.99;
+    sl_hit_p50_ms = pct 0.5 (split true);
+    sl_miss_p50_ms = pct 0.5 (split false);
+    sl_p99_ms = pct 0.99 (Array.to_list latencies);
     sl_hit_rate =
       (if hits + misses = 0 then 0.
        else float_of_int hits /. float_of_int (hits + misses)) }
@@ -1155,9 +1166,10 @@ let serve_soak () =
     stats.sl_requests stats.sl_ok stats.sl_cached stats.sl_rejected
     stats.sl_errors;
   Printf.printf
-    "soak: %.1f req/s, p50 %.2f ms, p99 %.2f ms, hit rate %.2f, %d \
-     replies cross-checked against verified solves\n"
-    stats.sl_qps stats.sl_p50_ms stats.sl_p99_ms stats.sl_hit_rate !checked;
+    "soak: %.1f req/s, p50 %.2f ms (hits) / %.2f ms (misses), p99 %.2f ms, \
+     hit rate %.2f, %d replies cross-checked against verified solves\n"
+    stats.sl_qps stats.sl_hit_p50_ms stats.sl_miss_p50_ms stats.sl_p99_ms
+    stats.sl_hit_rate !checked;
   if stats.sl_errors > 0 then fail "%d ERR replies (crashes)" stats.sl_errors;
   if stats.sl_ok + stats.sl_rejected <> stats.sl_requests then
     fail "replies do not account for every request";
@@ -1698,9 +1710,8 @@ let bench_json () =
          (Bechamel.Staged.stage (fun () ->
               ignore (Prcore.Engine.solve ~target receiver))))
   in
-  (* Allocator move throughput and cache behaviour: repeat the
-     case-study solve on one counting handle and read the counters
-     back. *)
+  (* Allocator move throughput: repeat the case-study solve on one
+     counting handle and read the counters back. *)
   let tele = Prtelemetry.create Prtelemetry.Sink.null in
   let reps = 20 in
   let t0 = Unix.gettimeofday () in
@@ -1711,12 +1722,6 @@ let bench_json () =
   let counter = Prtelemetry.counter_value tele in
   let moves = counter "alloc.moves_evaluated" in
   let delta_evals = counter "perf.delta_evals" in
-  let hits = counter "perf.cache_hits" in
-  let misses = counter "perf.cache_misses" in
-  let hit_rate =
-    if hits + misses = 0 then 0.
-    else float_of_int hits /. float_of_int (hits + misses)
-  in
   let moves_per_sec =
     if solve_wall > 0. then float_of_int moves /. solve_wall else 0.
   in
@@ -1859,11 +1864,6 @@ let bench_json () =
                 ("moves_evaluated", Int moves);
                 ("moves_per_sec", Float moves_per_sec);
                 ("delta_evals", Int delta_evals) ] );
-          ( "cache",
-            Obj
-              [ ("hits", Int hits);
-                ("misses", Int misses);
-                ("hit_rate", Float hit_rate) ] );
           ( "sweep",
             Obj
               [ ("designs", Int sweep_n);
@@ -1998,7 +1998,8 @@ let bench_json () =
               [ ("requests", Int serve_stats.sl_requests);
                 ("wall_seconds", Float serve_stats.sl_wall_s);
                 ("qps", Float serve_stats.sl_qps);
-                ("p50_ms", Float serve_stats.sl_p50_ms);
+                ("hit_p50_ms", Float serve_stats.sl_hit_p50_ms);
+                ("miss_p50_ms", Float serve_stats.sl_miss_p50_ms);
                 ("p99_ms", Float serve_stats.sl_p99_ms);
                 ("hit_rate", Float serve_stats.sl_hit_rate);
                 ("cached_replies", Int serve_stats.sl_cached);
@@ -2028,8 +2029,6 @@ let bench_json () =
   Printf.printf "engine solve: %.3f ms/run (OLS)\n" (solve_ns /. 1e6);
   Printf.printf "allocator: %.0f moves/sec (%d moves over %d solves)\n"
     moves_per_sec moves reps;
-  Printf.printf "cache: %d hits / %d misses (%.1f%% hit rate)\n" hits misses
-    (100. *. hit_rate);
   Printf.printf
     "sweep: %d designs, %.2fs sequential vs %.2fs with %d jobs (x%.2f, \
      bit-identical across %s)\n"
@@ -2181,9 +2180,9 @@ let bench_compare () =
 
 (* Prscope smoke (runs under --quick, so `dune runtest` gates on it):
    a traced case-study solve must produce a profile report carrying
-   every section the `prpart profile` verb prints, depth-resolved memo
-   traffic, a non-empty progress curve, and a Prometheus exposition
-   page that passes the structural validator. Exits 1 on violation. *)
+   every section the `prpart profile` verb prints, a non-empty progress
+   curve, and a Prometheus exposition page that passes the structural
+   validator. Exits 1 on violation. *)
 let scope_smoke () =
   section "Prscope smoke: profile report + exposition validity";
   let fail fmt =
@@ -2219,10 +2218,8 @@ let scope_smoke () =
       if not (contains report needle) then
         fail "profile report is missing its %S section" needle)
     [ "span tree"; "hot paths"; "span latency percentiles";
-      "memo by candidate-set depth"; "per-domain profile" ];
+      "per-domain profile" ];
   let s = outcome.Prcore.Engine.search in
-  if s.Prcore.Engine.memo_hits + s.Prcore.Engine.memo_misses <= 0 then
-    fail "traced solve recorded no memo traffic";
   if s.Prcore.Engine.progress = [] then
     fail "traced solve recorded no progress curve";
   let page = Prtelemetry.exposition tele in
@@ -2230,10 +2227,9 @@ let scope_smoke () =
    | Ok () -> ()
    | Error m -> fail "exposition page invalid: %s" m);
   Printf.printf
-    "prscope smoke OK (report %d bytes, memo %d/%d, %d progress points, \
-     exposition %d bytes valid)\n"
-    (String.length report) s.Prcore.Engine.memo_hits
-    s.Prcore.Engine.memo_misses
+    "prscope smoke OK (report %d bytes, %d progress points, exposition %d \
+     bytes valid)\n"
+    (String.length report)
     (List.length s.Prcore.Engine.progress)
     (String.length page)
 

@@ -199,9 +199,9 @@ let placement_for_target ~placement_aware target =
 let verify_arg =
   let doc =
     "Re-check the result with the independent oracle suite: the engine's \
-     memo-vs-fresh self-check plus the Prverify re-derivations (covering, \
-     conflicts, cost, budget, transitions). Fails with a diagnostic \
-     report when any invariant is violated."
+     from-scratch re-evaluation of the winning scheme plus the Prverify \
+     re-derivations (covering, conflicts, cost, budget, transitions). \
+     Fails with a diagnostic report when any invariant is violated."
   in
   Arg.(value & flag & info [ "verify" ] ~doc)
 
@@ -434,11 +434,10 @@ let profile_cmd =
               Format.printf "Budget: %a@." Fpga.Resource.pp outcome.budget);
            let s = outcome.search in
            Format.printf
-             "Best total frames: %d (%d cost evaluations; memo %d hits / \
-              %d misses; exact %d states, %d pruned)@.@."
+             "Best total frames: %d (%d cost evaluations; exact %d states, \
+              %d pruned)@.@."
              outcome.evaluation.Prcore.Cost.total_frames
-             outcome.cost_evaluations s.Prcore.Engine.memo_hits
-             s.Prcore.Engine.memo_misses s.Prcore.Engine.exact_states
+             outcome.cost_evaluations s.Prcore.Engine.exact_states
              s.Prcore.Engine.exact_pruned;
            print_string (Prtelemetry.Scope.report telemetry);
            print_string
@@ -471,9 +470,8 @@ let profile_cmd =
     "Profile a partition run: solve the design with a tracing telemetry \
      handle, then print the hierarchical span tree (self/total time), \
      the hot-path ranking, deterministic span percentiles, the \
-     depth-resolved memo hit rates and branch-and-bound prune counts, \
-     the per-domain busy/idle table and the best-cost-over-evaluations \
-     progress curve."
+     depth-resolved branch-and-bound prune counts, the per-domain \
+     busy/idle table and the best-cost-over-evaluations progress curve."
   in
   Cmd.v
     (Cmd.info "profile" ~doc)
@@ -1224,9 +1222,9 @@ let fuzz_cmd =
   in
   let doc =
     "Differential-fuzz the pipeline over random synthetic designs: \
-     sequential vs parallel engine, memoised vs fresh cost evaluation, \
-     reported evaluation vs the independent oracle re-derivation, and \
-     check-after-solve."
+     sequential vs parallel engine, the engine's self-check, the reported \
+     evaluation vs a direct cost-model run and vs the independent oracle \
+     re-derivation, and check-after-solve."
   in
   Cmd.v
     (Cmd.info "fuzz" ~doc)

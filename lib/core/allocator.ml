@@ -693,7 +693,7 @@ let better_scheme a b =
     if key va ea <= key vb eb then Some a' else Some b'
 
 let allocate ?(options = default_options) ?(pair_weight = fun _ _ -> 1.)
-    ?(telemetry = Prtelemetry.null) ?memo ?guard ?placement ~budget design
+    ?(telemetry = Prtelemetry.null) ?guard ?placement ~budget design
     partitions =
   match partitions with
   | [] -> None
@@ -747,14 +747,11 @@ let allocate ?(options = default_options) ?(pair_weight = fun _ _ -> 1.)
         if not (Compatibility.covers_design analysis) then None
         else begin
           let base = initial_state ~pair_weight design parts analysis in
-          (* Transposition table over restart outcomes: restarts from
+          (* Restart outcomes by content signature: restarts from
              different first moves frequently converge to the same
              allocation, which is then scored (and its scheme built)
-             only once. The shared [memo] (engine-level evaluation
-             cache) is keyed by the same content signature, so the
-             engine's re-evaluation of the returned scheme is a hit
-             too. *)
-          let results = Memo.create ~telemetry ~capacity:1024 () in
+             only once. *)
+          let results = Hashtbl.create 16 in
           let table = create_table (Array.length parts) in
           let run first_move =
             Prtelemetry.Counter.incr restarts_run;
@@ -767,30 +764,26 @@ let allocate ?(options = default_options) ?(pair_weight = fun _ _ -> 1.)
             | None -> None
             | Some state ->
               let signature = signature_of_state state in
-              Some
-                (Memo.find_or_add results signature (fun () ->
-                     let weighted_value =
-                       Array.fold_left
-                         (fun acc r ->
-                           if r.alive then
-                             acc +. (float_of_int r.frames *. r.conflicts)
-                           else acc)
-                         0. state.regions
-                       (* Restart outcomes also rank placement-first:
-                          a realisable allocation beats a cheaper one
-                          the floorplan estimator rejects. *)
-                       +. float_of_int (pen_of (state_demands state))
-                     in
-                     let scheme = scheme_of_state state in
-                     Prtelemetry.Counter.incr cost_evaluations;
-                     let evaluation =
-                       match memo with
-                       | Some shared ->
-                         Memo.find_or_add shared signature (fun () ->
-                             Cost.evaluate scheme)
-                       | None -> Cost.evaluate scheme
-                     in
-                     (scheme, weighted_value, evaluation)))
+              match Hashtbl.find_opt results signature with
+              | Some _ as seen -> seen
+              | None ->
+                let weighted_value =
+                  Array.fold_left
+                    (fun acc r ->
+                      if r.alive then
+                        acc +. (float_of_int r.frames *. r.conflicts)
+                      else acc)
+                    0. state.regions
+                  (* Restart outcomes also rank placement-first:
+                     a realisable allocation beats a cheaper one
+                     the floorplan estimator rejects. *)
+                  +. float_of_int (pen_of (state_demands state))
+                in
+                let scheme = scheme_of_state state in
+                Prtelemetry.Counter.incr cost_evaluations;
+                let result = (scheme, weighted_value, Cost.evaluate scheme) in
+                Hashtbl.add results signature result;
+                Some result
           in
           (* Alternative first moves: the initial state's candidate moves
              ranked by (time delta, area), truncated to the restart budget. *)

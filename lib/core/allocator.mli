@@ -41,7 +41,6 @@ val allocate :
   ?options:options ->
   ?pair_weight:(int -> int -> float) ->
   ?telemetry:Prtelemetry.t ->
-  ?memo:Cost.evaluation Memo.t ->
   ?guard:Prguard.Budget.t ->
   ?placement:Cost.placement ->
   budget:Fpga.Resource.t ->
@@ -94,19 +93,15 @@ val allocate :
     dense array once per search, so weighted objectives pay no closure
     overhead on the hot path.
 
-    [memo] (default: none) is the engine-level evaluation cache, keyed
-    by canonical content signatures ({!Memo.scheme_signature}): the
-    final evaluation of each distinct restart outcome is stored there,
-    so the engine's re-evaluation of the returned scheme — and any
-    other candidate set converging to the same allocation — is a cache
-    hit. Restart outcomes are additionally deduplicated internally, so
-    converging restarts never rebuild or re-score a scheme.
+    Restart outcomes are deduplicated per call by their canonical
+    content signature ({!Memo.grouping_signature}), so restarts that
+    converge to the same allocation build, penalise and score its
+    scheme once.
 
     [telemetry] (default {!Prtelemetry.null}, free): an
     ["alloc.allocate"] span; ["alloc.moves_evaluated"],
     ["alloc.merges_accepted"], ["alloc.promotions"], ["alloc.restarts"],
-    ["core.cost_evaluations"], ["perf.delta_evals"],
-    ["perf.cache_hits"] and ["perf.cache_misses"] counters; and an
+    ["core.cost_evaluations"] and ["perf.delta_evals"] counters; and an
     ["alloc.best"] event each time a restart improves the incumbent
     (when tracing). *)
 

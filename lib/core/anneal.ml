@@ -354,8 +354,8 @@ module Energy = struct
           ->
           p
         | Some _ | None ->
-          (* No matching proposal (e.g. the evaluation came from the
-             transposition table): compute the snapshots now. *)
+          (* No matching proposal (the caller committed a move it did
+             not propose last): compute the snapshots now. *)
           ignore (propose_unit t ~parts ~target);
           (match t.pending with Some p -> p | None -> assert false)
       in
@@ -482,18 +482,8 @@ let allocate ?(options = default_options) ?(telemetry = Prtelemetry.null)
               ~static_overhead:design.Design.static_overhead ~resources
               ~activity placement
           in
-          (* Transposition table over canonical placement signatures:
-             the walk revisits states constantly once the temperature
-             drops, and a revisited state is served from the table
-             instead of re-running even the delta evaluation. Keyed per
-             search (partition indices are only meaningful within this
-             allocate call). *)
-          let memo = Memo.create ~telemetry () in
           Prtelemetry.Counter.incr cost_evaluations;
           let energy, feasible, total = Energy.current energy_state in
-          Memo.add memo
-            (Memo.placement_signature placement)
-            (energy, feasible, total);
           let current_energy = ref energy in
           let best =
             ref (if feasible then Some (Array.copy placement, total) else None)
@@ -526,17 +516,9 @@ let allocate ?(options = default_options) ?(telemetry = Prtelemetry.null)
             if target <> old_region then begin
               placement.(p) <- target;
               Prtelemetry.Counter.incr cost_evaluations;
-              let key = Memo.placement_signature placement in
+              Prtelemetry.Counter.incr delta_evals;
               let energy, feasible, total =
-                match Memo.find memo key with
-                | Some triple -> triple
-                | None ->
-                  Prtelemetry.Counter.incr delta_evals;
-                  let triple =
-                    Energy.propose energy_state ~part:p ~target
-                  in
-                  Memo.add memo key triple;
-                  triple
+                Energy.propose energy_state ~part:p ~target
               in
               let delta = energy -. !current_energy in
               let accept =

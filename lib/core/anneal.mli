@@ -50,16 +50,15 @@ val allocate :
     global sums (total frames, quantized usage, validity) are maintained
     as exact integers — the resulting energies are bit-identical to a
     from-scratch evaluation, preserving the acceptance trajectory of the
-    pre-incremental implementation. Revisited placements are served from
-    a per-search transposition table keyed by
-    {!Memo.placement_signature}.
+    pre-incremental implementation. A revisited placement is proposed
+    again and scores the same triple, since every sum behind it is an
+    integer.
 
     [telemetry] (default {!Prtelemetry.null}, free): an
     ["anneal.allocate"] span; ["anneal.steps"], ["anneal.accepted"],
-    ["anneal.best_updates"], ["core.cost_evaluations"],
-    ["perf.delta_evals"], ["perf.cache_hits"] and ["perf.cache_misses"]
-    counters; and an ["anneal.best"] trajectory event per improvement
-    (when tracing). *)
+    ["anneal.best_updates"], ["core.cost_evaluations"] and
+    ["perf.delta_evals"] counters; and an ["anneal.best"] trajectory
+    event per improvement (when tracing). *)
 
 (** Incremental energy engine, shared with {!Multilevel} refinement and
     exposed for the Prspeed property tests: drive arbitrary
@@ -109,9 +108,9 @@ module Energy : sig
 
   val commit_unit : t -> parts:int array -> target:int -> unit
   (** Install the move, reusing the snapshots of a matching prior
-      {!propose_unit} when available and recomputing them otherwise (the
-      transposition-hit path). The committed state is exactly the one
-      [k] single-partition commits of the unit's members would leave. *)
+      {!propose_unit} when available and recomputing them otherwise. The
+      committed state is exactly the one [k] single-partition commits of
+      the unit's members would leave. *)
 
   val propose : t -> part:int -> target:int -> float * bool * int
   (** [propose t ~part ~target] is [propose_unit t ~parts:[| part |]

@@ -28,9 +28,9 @@ let meets_worst_limit ~options (e : Cost.evaluation) =
   | None -> true
   | Some limit -> e.Cost.worst_frames <= limit
 
-(* Search introspection attached to every outcome. Hit/miss and prune
-   totals are counter deltas over the solve (cheap, always populated,
-   like [cost_evaluations]); [progress] — the best-cost-over-evaluations
+(* Search introspection attached to every outcome. Prune totals are
+   counter deltas over the solve (cheap, always populated, like
+   [cost_evaluations]); [progress] — the best-cost-over-evaluations
    curve — is only collected when the caller's handle traces, so the
    default path allocates nothing. *)
 type search_stats = {
@@ -128,7 +128,7 @@ type budget_solution = {
 
 (* Solve for a fixed budget. The single-region scheme is the universal
    fallback: the feasibility precondition guarantees it fits. *)
-let solve_budget ~options ~strategy ~tele ~jobs ~memo ~note_progress ?guard
+let solve_budget ~options ~strategy ~tele ~jobs ~note_progress ?guard
     ?ladder ?placement ~budget design =
   Prtelemetry.with_span tele "engine.solve_budget"
     ~attrs:[ ("budget", Prtelemetry.Json.String (Resource.to_string budget)) ]
@@ -151,18 +151,12 @@ let solve_budget ~options ~strategy ~tele ~jobs ~memo ~note_progress ?guard
       placement
   in
   let placement_tele = counted_placement tele in
-  (* Every evaluation goes through the shared transposition table keyed
-     by canonical content signature: re-scoring the scheme an allocator
-     run already evaluated — or a scheme another candidate set converged
-     to — is a cache hit. The counter tracks cost-model {e lookups}, as
-     before; the table tracks which of them actually ran the model.
-     Evaluations are also charged against the guard, so an eval cap
-     expires after a deterministic number of lookups. *)
-  let evaluate ?depth scheme =
+  (* Every evaluation is counted and charged against the guard, so an
+     eval cap expires after a deterministic number of evaluations. *)
+  let evaluate scheme =
     Prtelemetry.Counter.incr evals;
     (match guard with Some g -> Prguard.Budget.charge g | None -> ());
-    Memo.find_or_add ?depth memo (Memo.scheme_signature scheme) (fun () ->
-        Cost.evaluate scheme)
+    Cost.evaluate scheme
   in
   let single = Scheme.single_region design in
   let single_eval = evaluate single in
@@ -274,16 +268,16 @@ let solve_budget ~options ~strategy ~tele ~jobs ~memo ~note_progress ?guard
          against a penalised objective); its returned scheme still
          competes under the penalised final ranking like everyone
          else. *)
-      let allocate_set ~telemetry ~memo ?guard set =
+      let allocate_set ~telemetry ?guard set =
         let placement = counted_placement telemetry in
         match (strategy : Strategy.t) with
         | Strategy.Greedy ->
           Allocator.allocate ~options:options.allocator ~pair_weight
-            ~telemetry ~memo ?guard ?placement ~budget design set
+            ~telemetry ?guard ?placement ~budget design set
         | Strategy.Exact ->
           let r =
-            Exact.allocate ~promote_static ~telemetry ~memo ?guard ~budget
-              design set
+            Exact.allocate ~promote_static ~telemetry ?guard ~budget design
+              set
           in
           r.Exact.scheme
         | Strategy.Anneal ->
@@ -297,8 +291,8 @@ let solve_budget ~options ~strategy ~tele ~jobs ~memo ~note_progress ?guard
             { Multilevel.default_options with
               Multilevel.promote_static }
           in
-          Multilevel.allocate ~options:mopts ~telemetry ~memo ?guard
-            ?placement ~budget design set
+          Multilevel.allocate ~options:mopts ~telemetry ?guard ?placement
+            ~budget design set
       in
       let solution ?rung ?(fell_back = false) ?reason best =
         match best with
@@ -321,12 +315,12 @@ let solve_budget ~options ~strategy ~tele ~jobs ~memo ~note_progress ?guard
       in
       (* The default search: allocation fan-out over the candidate sets.
          Sequentially each candidate set runs the allocator against the
-         shared telemetry handle and evaluation cache; in parallel each
-         set gets its own counting handle and private table (neither is
-         domain-safe), and after the ordered join the counters are
-         merged and the tables absorbed in input order. The subsequent
-         fold is identical in both modes, so the selected scheme — and
-         every outcome field — is bit-identical for any [jobs].
+         shared telemetry handle; in parallel each set gets its own
+         counting handle (handles are not domain-safe), and after the
+         ordered join the counters are merged in input order. The
+         subsequent fold is identical in both modes, so the selected
+         scheme — and every outcome field — is bit-identical for any
+         [jobs].
 
          The guard is consulted at candidate-set boundaries: an expired
          budget skips the remaining sets (the eval cap thereby expires
@@ -349,7 +343,7 @@ let solve_budget ~options ~strategy ~tele ~jobs ~memo ~note_progress ?guard
                   skipped := true;
                   Prtelemetry.incr tele "guard.sets_skipped";
                   `Skipped
-                | None -> `Alloc (allocate_set ~telemetry:tele ~memo ?guard set))
+                | None -> `Alloc (allocate_set ~telemetry:tele ?guard set))
               sets
           else begin
             let cancel, fallback =
@@ -362,23 +356,14 @@ let solve_budget ~options ~strategy ~tele ~jobs ~memo ~note_progress ?guard
             Par.map_list ?cancel ?fallback ~telemetry:tele ~jobs
               (fun set ->
                 let worker = Prtelemetry.ensure Prtelemetry.null in
-                let worker_memo =
-                  Memo.create ~telemetry:worker
-                    ~tag:(Strategy.to_string strategy) ()
-                in
-                let scheme =
-                  allocate_set ~telemetry:worker ~memo:worker_memo ?guard set
-                in
-                `Done (scheme, worker, worker_memo))
+                `Done (allocate_set ~telemetry:worker ?guard set, worker))
               sets
             |> List.map (function
-                 | `Done (scheme, worker, worker_memo) ->
+                 | `Done (scheme, worker) ->
                    (* Fold the worker's aggregates (counters, span
                       stats, histograms) into the shared handle in
-                      input order — deterministic, and richer than the
-                      counter-only merge it replaces. *)
+                      input order — deterministic. *)
                    Prtelemetry.merge ~into:tele worker;
-                   Memo.absorb ~into:memo worker_memo;
                    `Alloc scheme
                  | `Cancelled ->
                    skipped := true;
@@ -398,7 +383,7 @@ let solve_budget ~options ~strategy ~tele ~jobs ~memo ~note_progress ?guard
                   reject set_index "infeasible";
                   best
                 | `Alloc (Some scheme) ->
-                  let evaluation = evaluate ~depth:set_index scheme in
+                  let evaluation = evaluate scheme in
                   if not (meets_worst_limit ~options evaluation) then begin
                     reject set_index "worst-limit";
                     best
@@ -494,7 +479,7 @@ let solve_budget ~options ~strategy ~tele ~jobs ~memo ~note_progress ?guard
                  | Prguard.Ladder.Greedy ->
                    each_set (fun set ->
                        offer name
-                         (allocate_set ~telemetry:tele ~memo ~guard:rb set))
+                         (allocate_set ~telemetry:tele ~guard:rb set))
                  | Prguard.Ladder.Anneal ->
                    (* Derive the per-set iteration count from the rung's
                       eval cap (each Metropolis step charges one eval),
@@ -530,8 +515,8 @@ let solve_budget ~options ~strategy ~tele ~jobs ~memo ~note_progress ?guard
                    in
                    offer name
                      (Multilevel.allocate ~options:mopts ~telemetry:tele
-                        ~memo ~guard:rb ?placement:placement_tele ~budget
-                        design (Lazy.force multilevel_nodes))
+                        ~guard:rb ?placement:placement_tele ~budget design
+                        (Lazy.force multilevel_nodes))
                  | Prguard.Ladder.Exact ->
                    (* The state budget derives from the rung's eval cap:
                       leaf evaluations never exceed expanded states, so
@@ -546,8 +531,8 @@ let solve_budget ~options ~strategy ~tele ~jobs ~memo ~note_progress ?guard
                          Exact.allocate
                            ~promote_static:
                              options.allocator.Allocator.promote_static
-                           ~max_states ~telemetry:tele ~memo ~guard:rb ~budget
-                           design set
+                           ~max_states ~telemetry:tele ~guard:rb ~budget design
+                           set
                        in
                        if not r.Exact.optimal then complete := false;
                        offer name r.Exact.scheme));
@@ -610,11 +595,10 @@ let target_label = function
   | Auto -> "auto"
 
 (* Post-solve self-check for [?verify]: re-run the cost model directly
-   on the winning scheme — bypassing the memo table and every
-   incremental kernel — and require bit-for-bit agreement with the
-   evaluation the search reported. Any memoisation or delta-kernel
-   drift surfaces here as a hard error instead of a silently wrong
-   outcome. *)
+   on the winning scheme — bypassing every incremental kernel — and
+   require bit-for-bit agreement with the evaluation the search
+   reported. Any delta-kernel drift surfaces here as a hard error
+   instead of a silently wrong outcome. *)
 let verify_outcome ~tele o =
   Prtelemetry.incr tele "verify.engine_checks";
   let fresh = Cost.evaluate o.scheme in
@@ -624,8 +608,8 @@ let verify_outcome ~tele o =
     Error
       (Format.asprintf
          "verification failed for %s: reported evaluation (%a) does not \
-          match the from-scratch re-derivation (%a) — memoised or \
-          incremental state has diverged from the cost model"
+          match the from-scratch re-derivation (%a) — incremental state \
+          has diverged from the cost model"
          o.design.Design.name Cost.pp_evaluation o.evaluation
          Cost.pp_evaluation fresh)
   end
@@ -669,23 +653,10 @@ let solve ?(options = default_options) ?(telemetry = Prtelemetry.null)
     (* Always count on a live handle so [cost_evaluations] is populated
        even when the caller did not opt into telemetry. *)
     let tele = Prtelemetry.ensure telemetry in
-    (* One evaluation cache per solve: canonical signatures are stable
-       across candidate sets and budgets, so [Auto]-mode escalations
-       re-use evaluations from earlier attempts too. *)
-    (* Tagged with the strategy so evaluations produced under one
-       backend can never satisfy a lookup made under another — the
-       cache cannot alias multilevel and exact results. *)
-    let memo =
-      Memo.create ~telemetry:tele ~tag:(Strategy.to_string strategy) ()
-    in
     let evaluations_before = cost_evaluation_counters tele in
     (* Baselines for the search-introspection deltas, mirroring
        [evaluations_before]: a caller-supplied handle can span several
        solves, so the outcome reports per-solve differences. *)
-    let memo_hits_before = Prtelemetry.counter_value tele "perf.cache_hits" in
-    let memo_misses_before =
-      Prtelemetry.counter_value tele "perf.cache_misses"
-    in
     let exact_states_before = Prtelemetry.counter_value tele "exact.states" in
     let exact_pruned_before = Prtelemetry.counter_value tele "exact.pruned" in
     (* Best-cost-over-evaluations progress curve, appended at each new
@@ -732,13 +703,13 @@ let solve ?(options = default_options) ?(telemetry = Prtelemetry.null)
       | Budget budget ->
         Result.map
           (outcome ~design ~device:None ~budget ~escalations:0)
-          (solve_budget ~options ~strategy ~tele ~jobs ~memo ~note_progress
+          (solve_budget ~options ~strategy ~tele ~jobs ~note_progress
              ?guard ?ladder ?placement ~budget design)
       | Fixed device ->
         let budget = Fpga.Device.resources device in
         Result.map
           (outcome ~design ~device:(Some device) ~budget ~escalations:0)
-          (solve_budget ~options ~strategy ~tele ~jobs ~memo ~note_progress
+          (solve_budget ~options ~strategy ~tele ~jobs ~note_progress
              ?guard ?ladder ?placement ~budget design)
       | Auto ->
         (* Smallest device fitting the single-region lower bound, then
@@ -764,8 +735,8 @@ let solve ?(options = default_options) ?(telemetry = Prtelemetry.null)
                      [ ( "device",
                          Prtelemetry.Json.String device.Fpga.Device.short ) ]
                    (fun () ->
-                     solve_budget ~options ~strategy ~tele ~jobs ~memo
-                       ~note_progress ?guard ?ladder ?placement ~budget design)
+                     solve_budget ~options ~strategy ~tele ~jobs ~note_progress
+                       ?guard ?ladder ?placement ~budget design)
                with
                | Error _ -> best
                | Ok result ->
@@ -832,19 +803,18 @@ let solve ?(options = default_options) ?(telemetry = Prtelemetry.null)
                   v.Prguard.Budget.degraded || pre.Prguard.Budget.degraded;
                 reason }
           in
+          let cost_evaluations =
+            cost_evaluation_counters tele - evaluations_before
+          in
           { o with
-            cost_evaluations = cost_evaluation_counters tele - evaluations_before;
+            cost_evaluations;
             placement_penalty =
               Option.map
                 (fun p -> Cost.placement_penalty p o.scheme)
                 placement;
             search =
-              { memo_hits =
-                  Prtelemetry.counter_value tele "perf.cache_hits"
-                  - memo_hits_before;
-                memo_misses =
-                  Prtelemetry.counter_value tele "perf.cache_misses"
-                  - memo_misses_before;
+              { memo_hits = 0;
+                memo_misses = cost_evaluations;
                 exact_states =
                   Prtelemetry.counter_value tele "exact.states"
                   - exact_states_before;

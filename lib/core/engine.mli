@@ -42,8 +42,13 @@ val default_options : options
     options, [Total_frames] objective, no worst-case limit. *)
 
 type search_stats = {
-  memo_hits : int;  (** Evaluation-cache hits during this solve. *)
-  memo_misses : int;  (** Evaluation-cache misses (model actually ran). *)
+  memo_hits : int;
+      (** Always [0]: the engine keeps no evaluation cache. Kept only
+          because the benchmark harness ([perfbench/]) reads it. *)
+  memo_misses : int;
+      (** Always [cost_evaluations] (positive: the single-region scheme
+          is always evaluated), so the harness's hit ratio reads a
+          finite [0]. Kept only because the harness reads it. *)
   exact_states : int;  (** Branch-and-bound states expanded. *)
   exact_pruned : int;  (** Subtrees cut by the bound. *)
   progress : (int * int) list;
@@ -138,8 +143,7 @@ val solve :
     ranking, guard/ladder composition and verification; only the greedy
     allocator {e searches} under a [Weighted] objective (the others
     optimise total frames and rely on the final ranking, exactly like
-    the ladder rungs). The per-solve evaluation cache is tagged with the
-    strategy name, so results from different backends can never alias.
+    the ladder rungs).
 
     [jobs < 1] is rejected with a descriptive [Error] (never undefined
     [Par] behaviour).
@@ -172,8 +176,8 @@ val solve :
     caps must expire deterministically).
 
     [verify] (default [false]) re-runs the cost model from scratch on
-    the winning scheme — bypassing the memo table and the incremental
-    kernels — and fails with an explanatory [Error] unless the reported
+    the winning scheme — bypassing the incremental kernels — and
+    fails with an explanatory [Error] unless the reported
     evaluation matches bit-for-bit ({!Cost.equal_evaluation}). Counted
     as ["verify.engine_checks"] / ["verify.engine_failures"]. The full
     independent-oracle suite (covering, conflicts, floorplan, bitstream,
@@ -185,15 +189,13 @@ val solve :
     to the sequential one: the ordered map preserves input order and
     the winning-scheme fold runs sequentially after the join, so the
     outcome — scheme, evaluation and all counts — does not depend on
-    [jobs]. Each domain works against a private counting handle and
-    evaluation cache (merged afterwards), so per-allocator spans and
-    trace events are not recorded when [jobs > 1]; counters are.
+    [jobs]. Each domain works against a private counting handle
+    (merged afterwards), so per-allocator spans and trace events are
+    not recorded when [jobs > 1]; counters are.
 
-    Scheme evaluations are memoised per solve in a transposition table
-    keyed by canonical content signatures ({!Memo.scheme_signature}):
-    candidate sets converging to the same allocation — and, under
-    [Auto], re-evaluations across device escalations — are cache hits,
-    visible as ["perf.cache_hits"] / ["perf.cache_misses"].
+    Every scheme the engine compares is scored by a direct
+    {!Cost.evaluate}, counted as ["core.cost_evaluations"] and charged
+    against the guard.
 
     [telemetry] (default {!Prtelemetry.null}, free): an ["engine.solve"]
     span with one ["engine.solve_budget"] child per budget attempted

@@ -77,7 +77,7 @@ let extend_group ~activity ~active_counts ~parts group p =
   end
 
 let allocate ?(promote_static = true) ?(max_states = 2_000_000)
-    ?(telemetry = Prtelemetry.null) ?memo ?guard ~budget design parts_list =
+    ?(telemetry = Prtelemetry.null) ?guard ~budget design parts_list =
   match parts_list with
   | [] -> { scheme = None; optimal = true; states = 0 }
   | _ ->
@@ -245,15 +245,5 @@ let allocate ?(promote_static = true) ?(max_states = 2_000_000)
               (List.mapi (fun p bp -> (bp, placement.(p))) parts_list))
           !best
       in
-      (* Seed the shared evaluation cache so downstream re-evaluations
-         of the returned scheme (the engine's comparison pass) are
-         cache hits. *)
-      (match (scheme, memo) with
-       | Some s, Some shared ->
-         ignore
-           (Memo.find_or_add shared (Memo.scheme_signature s) (fun () ->
-                Cost.evaluate s)
-             : Cost.evaluation)
-       | _ -> ());
       { scheme; optimal = not !truncated; states = !states }
     end)

@@ -22,7 +22,6 @@ val allocate :
   ?promote_static:bool ->
   ?max_states:int ->
   ?telemetry:Prtelemetry.t ->
-  ?memo:Cost.evaluation Memo.t ->
   ?guard:Prguard.Budget.t ->
   budget:Fpga.Resource.t ->
   Prdesign.Design.t ->
@@ -39,10 +38,6 @@ val allocate :
     exactly [|new active| * |group active|] conflicting pairs (active
     sets of co-resident partitions are disjoint), so no residency column
     is rescanned during the DFS.
-
-    [memo] (default: none) is the engine-level evaluation cache: the
-    returned scheme's evaluation is stored under its canonical
-    {!Memo.scheme_signature}, making downstream re-evaluation a hit.
 
     [guard] (default: none) bounds the search: leaf evaluations are
     charged against the budget, and deadline expiry or cancellation

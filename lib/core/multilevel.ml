@@ -478,7 +478,7 @@ let coarsen ?(options = default_options) ~budget design partitions =
 exception Interrupted
 
 let allocate_stats ?(options = default_options)
-    ?(telemetry = Prtelemetry.null) ?memo ?guard ?placement ~budget design
+    ?(telemetry = Prtelemetry.null) ?guard ?placement ~budget design
     partitions =
   (* [placement] is shadowed below by the region-assignment array; keep
      the placement-awareness hook under its own name. *)
@@ -724,19 +724,11 @@ let allocate_stats ?(options = default_options)
             (List.mapi (fun p bp -> (bp, resolved.(p))) (Array.to_list parts))
         with
         | Error _ -> (None, stats None)
-        | Ok scheme ->
-          (match memo with
-           | Some memo ->
-             Prtelemetry.Counter.incr cost_evaluations;
-             Memo.add memo (Memo.scheme_signature scheme)
-               (Cost.evaluate scheme)
-           | None -> ());
-          (Some scheme, stats (Some total))
+        | Ok scheme -> (Some scheme, stats (Some total))
       end
     end
 
-let allocate ?options ?telemetry ?memo ?guard ?placement ~budget design
-    partitions =
+let allocate ?options ?telemetry ?guard ?placement ~budget design partitions =
   fst
-    (allocate_stats ?options ?telemetry ?memo ?guard ?placement ~budget design
+    (allocate_stats ?options ?telemetry ?guard ?placement ~budget design
        partitions)

@@ -72,7 +72,6 @@ type stats = {
 val allocate :
   ?options:options ->
   ?telemetry:Prtelemetry.t ->
-  ?memo:Cost.evaluation Memo.t ->
   ?guard:Prguard.Budget.t ->
   ?placement:Cost.placement ->
   budget:Fpga.Resource.t ->
@@ -96,10 +95,6 @@ val allocate :
     is enforced at the engine's boundaries), keeping capped runs
     deterministic.
 
-    [memo] (default: none): the returned scheme's evaluation is stored
-    under its canonical {!Memo.scheme_signature}, making the engine's
-    re-evaluation a hit.
-
     [telemetry] (default {!Prtelemetry.null}, free): a
     ["multilevel.allocate"] span with a ["multilevel.coarsen"] child
     and, per refined level, ["multilevel.partners"] and
@@ -111,7 +106,6 @@ val allocate :
 val allocate_stats :
   ?options:options ->
   ?telemetry:Prtelemetry.t ->
-  ?memo:Cost.evaluation Memo.t ->
   ?guard:Prguard.Budget.t ->
   ?placement:Cost.placement ->
   budget:Fpga.Resource.t ->

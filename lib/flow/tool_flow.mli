@@ -69,7 +69,7 @@ type options = {
   verify : bool;
       (** Run the independent-oracle suite over the finished
           implementation (default [false]). Arms the engine's
-          memo-vs-fresh self-check ({!Prcore.Engine.solve}'s [verify])
+          from-scratch self-check ({!Prcore.Engine.solve}'s [verify])
           and records {!Prverify.Checker.check_implementation}'s
           diagnostics in the report — {!render_summary} then appends a
           verification section and {!write_outputs} emits [verify.txt].

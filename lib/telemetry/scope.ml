@@ -1,6 +1,6 @@
 (* Prscope: turn a recorded telemetry handle into a profiling report —
    a hierarchical span tree with self/total time, a hot-path ranking,
-   deterministic span percentiles, depth-resolved memo/prune tables,
+   deterministic span percentiles, the depth-resolved prune table,
    and the per-domain busy/idle table from the Par pool gauges. Pure
    rendering: everything here reads aggregates that already exist on
    the handle, so it can run after the fact on a loaded trace too. *)
@@ -183,10 +183,9 @@ let render_percentiles t =
 
 (* ---------------------------------------------------- depth-resolved view *)
 
-(* Search layers publish per-depth counters under fixed name schemes:
-   [memo.depth<d>.hits]/[.misses] from the engine's scheme memo and
-   [exact.depth<d>.states]/[.pruned] from the branch-and-bound. Collect
-   whatever depths exist and tabulate them. *)
+(* The branch-and-bound publishes per-depth counters under a fixed
+   name scheme, [exact.depth<d>.states]/[.pruned]. Collect whatever
+   depths exist and tabulate them. *)
 let depth_of_counter ~prefix ~suffix name =
   let plen = String.length prefix and slen = String.length suffix in
   let n = String.length name in
@@ -218,26 +217,6 @@ let depth_table counters ~prefix ~left ~right =
     counters;
   List.sort compare
     (Hashtbl.fold (fun d (l, r) acc -> (d, !l, !r) :: acc) table [])
-
-let render_memo_depths t =
-  let rows =
-    depth_table (Telemetry.counters_list t) ~prefix:"memo.depth"
-      ~left:"hits" ~right:"misses"
-  in
-  if rows = [] then ""
-  else
-    "memo by candidate-set depth:\n"
-    ^ Report.Table.render
-        ~headers:[ "depth"; "hits"; "misses"; "hit rate" ]
-        (List.map
-           (fun (d, hits, misses) ->
-             let total = hits + misses in
-             [ string_of_int d;
-               string_of_int hits;
-               string_of_int misses;
-               (if total = 0 then "-"
-                else Report.Table.fixed 3 (float_of_int hits /. float_of_int total)) ])
-           rows)
 
 let render_exact_depths t =
   let rows =
@@ -347,7 +326,6 @@ let report t =
     [ render_tree (span_tree (Telemetry.events t));
       render_hot (span_tree (Telemetry.events t));
       render_percentiles t;
-      render_memo_depths t;
       render_exact_depths t;
       render_domains t ]
   in

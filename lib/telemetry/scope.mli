@@ -35,10 +35,6 @@ val render_hot : ?limit:int -> node list -> string
 val render_percentiles : Telemetry.t -> string
 (** Deterministic p50/p90/p99/max per span, from the span histograms. *)
 
-val render_memo_depths : Telemetry.t -> string
-(** Hit/miss/hit-rate table from [memo.depth<d>.hits]/[.misses]
-    counters; empty string when no depth counters exist. *)
-
 val render_exact_depths : Telemetry.t -> string
 (** States/pruned/prune-rate table from [exact.depth<d>.states]/
     [.pruned] counters; empty string when absent. *)
@@ -54,8 +50,8 @@ val render_progress : (int * int) list -> string
     evaluations and best total frames); empty string for []. *)
 
 val report : Telemetry.t -> string
-(** The full profile: span tree, hot paths, span percentiles, memo and
-    branch-and-bound depth tables, per-domain table. Empty sections are
+(** The full profile: span tree, hot paths, span percentiles, the
+    branch-and-bound depth table, per-domain table. Empty sections are
     omitted. *)
 
 val check_exposition : string -> (unit, string) result

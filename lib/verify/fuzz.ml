@@ -41,7 +41,7 @@ let run ?(count = 200) ?(seed = 2013) ?(jobs = 2) () =
         (Printf.sprintf "design oracle rejected the generator output:\n%s"
            (Diagnostic.render_report diagnostics))
     else begin
-      (* 2. Solve with the engine's memo-vs-fresh self-check armed. *)
+      (* 2. Solve with the engine's from-scratch self-check armed. *)
       match Engine.solve ~verify:true ~target:Engine.Auto design with
       | Error message ->
         if is_verification_failure message then fail message else incr skipped
@@ -76,8 +76,8 @@ let run ?(count = 200) ?(seed = 2013) ?(jobs = 2) () =
              fail
                (Printf.sprintf
                   "jobs=1 and jobs=%d converge to different schemes" jobs));
-        (* 4. The reported evaluation must match a direct (memo-free)
-           cost-model run... *)
+        (* 4. The reported evaluation must match a direct cost-model
+           run, which no incremental kernel touches... *)
         let fresh = Cost.evaluate outcome.Engine.scheme in
         if not (Cost.equal_evaluation fresh outcome.Engine.evaluation) then
           fail

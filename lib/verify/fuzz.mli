@@ -3,7 +3,7 @@
 
     {!run} draws random synthetic designs ({!Synth.Generator}) and, for
     each: requires the design oracle to pass, solves with [verify:true]
-    (the engine's memo-vs-fresh self-check), cross-checks the
+    (the engine's from-scratch self-check), cross-checks the
     sequential and parallel engines ([jobs = 1] vs [jobs > 1] must be
     bit-identical), compares the reported evaluation against both a
     direct {!Prcore.Cost.evaluate} and the independent

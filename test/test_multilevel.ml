@@ -6,9 +6,9 @@
    round trip never fabricates an invalid placement), refinement never
    increases the exactly evaluated cost once feasibility is reached, and
    the engine's multilevel path is bit-identical for any [jobs]. The
-   unit tests cover the Strategy name surface, the Memo strategy tag,
-   the generator's spec validation, and the optimality gap against the
-   exact backend on every library design. *)
+   unit tests cover the Strategy name surface, the generator's spec
+   validation, and the optimality gap against the exact backend on every
+   library design. *)
 
 module Design = Prdesign.Design
 module Design_library = Prdesign.Design_library
@@ -650,37 +650,6 @@ let test_strategy_names () =
       Strategy.names
 
 (* ------------------------------------------------------------------ *)
-(* Memo strategy tag.                                                  *)
-
-let test_memo_tag_no_alias () =
-  let exact = Memo.create ~tag:"exact" () in
-  let ml = Memo.create ~tag:"multilevel" () in
-  let untagged = Memo.create () in
-  let key = "scheme-key" in
-  Memo.add exact key 1;
-  Memo.add ml key 2;
-  Memo.add untagged key 3;
-  Alcotest.(check (option int)) "exact finds its own" (Some 1)
-    (Memo.find exact key);
-  Alcotest.(check (option int)) "multilevel finds its own" (Some 2)
-    (Memo.find ml key);
-  Alcotest.(check (option int)) "untagged finds its own" (Some 3)
-    (Memo.find untagged key);
-  (* Absorbing differently-tagged tables into one store must keep the
-     namespaces apart: each donor's entry stays reachable only under
-     its own tag. *)
-  let merged = Memo.create ~tag:"multilevel" () in
-  Memo.absorb ~into:merged exact;
-  Memo.absorb ~into:merged ml;
-  Alcotest.(check (option int)) "merged resolves under its own tag"
-    (Some 2) (Memo.find merged key);
-  Alcotest.(check int) "merged holds both donors" 2 (Memo.length merged);
-  Alcotest.(check (option string)) "tag accessor" (Some "multilevel")
-    (Memo.tag ml);
-  Alcotest.(check (option string)) "untagged accessor" None
-    (Memo.tag untagged)
-
-(* ------------------------------------------------------------------ *)
 (* Generator hardening and the huge class.                             *)
 
 let expect_spec_error label spec fragment =
@@ -801,9 +770,6 @@ let () =
             `Quick test_coarsen_coverage ] );
       ( "strategy",
         [ Alcotest.test_case "name surface" `Quick test_strategy_names ] );
-      ( "memo",
-        [ Alcotest.test_case "strategy tags never alias" `Quick
-            test_memo_tag_no_alias ] );
       ( "generator",
         [ Alcotest.test_case "spec validation" `Quick
             test_generator_validation;

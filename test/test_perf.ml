@@ -1,5 +1,5 @@
 (* Prspeed tests: the incremental cost kernels against their
-   from-scratch references, the memoisation layer, the Par ordered map,
+   from-scratch references, the canonical signatures, the Par ordered map,
    and the determinism of the parallel engine and sweep. *)
 
 module Design = Prdesign.Design
@@ -97,39 +97,10 @@ let par_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Memo: table behaviour and signature canonicalisation. *)
+(* Memo: signature canonicalisation. *)
 
 let memo_tests =
-  [ Alcotest.test_case "hits and misses are counted" `Quick (fun () ->
-        let t = Memo.create () in
-        Alcotest.(check (option int)) "miss" None (Memo.find t "a");
-        Memo.add t "a" 1;
-        Alcotest.(check (option int)) "hit" (Some 1) (Memo.find t "a");
-        Alcotest.(check int) "computed once" 1
-          (let calls = ref 0 in
-           let f () = incr calls; 7 in
-           ignore (Memo.find_or_add t "b" f : int);
-           ignore (Memo.find_or_add t "b" f : int);
-           !calls);
-        Alcotest.(check int) "hits" 2 (Memo.hits t);
-        Alcotest.(check int) "misses" 2 (Memo.misses t));
-    Alcotest.test_case "capacity triggers generational clearing" `Quick
-      (fun () ->
-        let t = Memo.create ~capacity:2 () in
-        Memo.add t "a" 1;
-        Memo.add t "b" 2;
-        (* Full: the next add clears the table first. *)
-        Memo.add t "c" 3;
-        Alcotest.(check int) "cleared" 1 (Memo.length t);
-        Alcotest.(check (option int)) "survivor" (Some 3) (Memo.find t "c"));
-    Alcotest.test_case "absorb merges tables" `Quick (fun () ->
-        let a = Memo.create () and b = Memo.create () in
-        Memo.add a "x" 1;
-        Memo.add b "y" 2;
-        Memo.absorb ~into:a b;
-        Alcotest.(check (option int)) "kept" (Some 1) (Memo.find a "x");
-        Alcotest.(check (option int)) "merged" (Some 2) (Memo.find a "y"));
-    Alcotest.test_case "grouping signature is order-invariant" `Quick
+  [ Alcotest.test_case "grouping signature is order-invariant" `Quick
       (fun () ->
         let parts = Array.of_list partitions in
         let s1 =
@@ -146,16 +117,6 @@ let memo_tests =
         in
         Alcotest.(check string) "permutation invariant" s1 s2;
         Alcotest.(check bool) "groupings distinguished" true (s1 <> s3));
-    Alcotest.test_case "placement signature canonical under renumbering"
-      `Quick (fun () ->
-        Alcotest.(check string)
-          "renumbered"
-          (Memo.placement_signature [| 0; 0; 1; -1 |])
-          (Memo.placement_signature [| 5; 5; 2; -1 |]);
-        Alcotest.(check bool)
-          "static distinguished" true
-          (Memo.placement_signature [| 0; 0; -1 |]
-          <> Memo.placement_signature [| 0; 0; 0 |]));
     Alcotest.test_case "scheme signature ignores region numbering" `Quick
       (fun () ->
         let set = covering_set example in
@@ -835,7 +796,7 @@ let transition_tests =
           done) ]
 
 (* ------------------------------------------------------------------ *)
-(* Parallel determinism and cache effectiveness. *)
+(* Parallel determinism. *)
 
 let outcome_fingerprint (o : Engine.outcome) =
   ( ( Memo.scheme_signature o.Engine.scheme,
@@ -865,24 +826,7 @@ let determinism_tests =
         let a = Experiments.Sweep.run ~count:8 ~jobs:1 () in
         let b = Experiments.Sweep.run ~count:8 ~jobs:3 () in
         Alcotest.(check int) "row count" (List.length a) (List.length b);
-        Alcotest.(check bool) "rows equal" true (a = b));
-    Alcotest.test_case "solve populates the evaluation cache" `Quick
-      (fun () ->
-        let telemetry = Prtelemetry.create Prtelemetry.Sink.null in
-        let design =
-          match Design_library.find "video-receiver" with
-          | Some d -> d
-          | None -> Alcotest.fail "video-receiver missing from the library"
-        in
-        match Engine.solve ~telemetry ~target:Engine.Auto design with
-        | Error e -> Alcotest.fail e
-        | Ok _ ->
-          Alcotest.(check bool)
-            "perf.cache_hits > 0" true
-            (Prtelemetry.counter_value telemetry "perf.cache_hits" > 0);
-          Alcotest.(check bool)
-            "perf.delta_evals > 0" true
-            (Prtelemetry.counter_value telemetry "perf.delta_evals" > 0)) ]
+        Alcotest.(check bool) "rows equal" true (a = b)) ]
 
 let () =
   Alcotest.run "prspeed"

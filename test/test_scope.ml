@@ -313,8 +313,7 @@ let tree_tests =
               true
               (contains report needle))
           [ "span tree"; "hot paths"; "span latency percentiles";
-            "memo by candidate-set depth"; "per-domain profile";
-            "engine.solve" ]);
+            "per-domain profile"; "engine.solve" ]);
     Alcotest.test_case "progress curve renders" `Quick (fun () ->
         Alcotest.(check string) "empty" "" (S.render_progress []);
         let rendered = S.render_progress [ (10, 500); (25, 420) ] in
@@ -624,8 +623,7 @@ let cli_tests =
                   true
                   (contains out needle))
               [ "span tree"; "hot paths"; "span latency percentiles";
-                "memo by candidate-set depth"; "per-domain profile";
-                "engine.solve"; "Best total frames" ];
+                "per-domain profile"; "engine.solve"; "Best total frames" ];
             (* The exported metrics page must be structurally valid
                Prometheus text. *)
             match S.check_exposition (read_file metrics) with
