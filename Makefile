@@ -1,7 +1,7 @@
 # Convenience targets. Tier-1 is `make check` (= dune build && dune runtest);
 # `dune runtest` includes the bench smoke (`bench/main.exe --quick`).
 
-.PHONY: all build test check verify fuzz fmt fmt-check bench-smoke bench-json perf perf-compare faults guard multilevel floorplan serve soak chaos clean
+.PHONY: all build test check verify fuzz fmt fmt-check bench-smoke bench-json perf perf-compare faults guard multilevel floorplan serve soak chaos loc clean
 
 all: build
 
@@ -135,6 +135,12 @@ soak: build
 chaos: build
 	dune exec test/test_fleet.exe
 	dune exec bench/main.exe -- chaos
+
+# Line counts: the `wc -l` totals of lib/**/*.ml{,i} and of test/*.ml,
+# so every change reports its net lib/ lines the same way.
+loc:
+	@echo "lib  $$(find lib \( -name '*.ml' -o -name '*.mli' \) -print0 | xargs -0 cat | wc -l)"
+	@echo "test $$(cat test/*.ml | wc -l)"
 
 clean:
 	dune clean

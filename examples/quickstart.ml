@@ -13,7 +13,16 @@ let () =
 
   (* 1. The connectivity matrix (one row per configuration). *)
   let matrix = Prgraph.Conn_matrix.make design in
-  Format.printf "Connectivity matrix:@.%a@." Prgraph.Conn_matrix.pp matrix;
+  Format.printf "Connectivity matrix (active modes per configuration):@.";
+  for c = 0 to Prgraph.Conn_matrix.configurations matrix - 1 do
+    Format.printf "  %-8s %s@."
+      design.configurations.(c).Prdesign.Configuration.name
+      (String.concat " "
+         (List.map
+            (Prdesign.Design.mode_label design)
+            (Prgraph.Conn_matrix.config_modes matrix c)))
+  done;
+  Format.printf "@.";
 
   (* 2. Agglomerative clustering: base partitions with frequency weights. *)
   let partitions = Cluster.Agglomerative.run design in

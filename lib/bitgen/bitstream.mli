@@ -19,9 +19,6 @@ type header = {
 
 type t = private { header : header; payload : bytes; crc : int32 }
 
-val sync_word : int32
-(** 0xAA995566, as on real Xilinx bitstreams. *)
-
 val far_of_origin : row:int -> major:int -> int
 (** Simplified FAR encoding: configuration row in bits 15+, major column
     in bits 7+. @raise Invalid_argument on negative fields. *)

@@ -247,10 +247,10 @@ let initial_state ~pair_weight design partitions analysis =
   let regions =
     Array.mapi
       (fun p (bp : Base_partition.t) ->
-        let column =
-          Array.init configs (fun c ->
-              if Compatibility.active analysis ~bp:p ~config:c then p else -1)
-        in
+        let column = Array.make configs (-1) in
+        Prgraph.Cfgset.iter
+          (fun c -> column.(c) <- p)
+          (Compatibility.activity analysis p);
         { members = [ p ];
           column;
           active = active_of_column column;
@@ -900,5 +900,4 @@ module Search = struct
 
   let region_count state = Array.length state.regions
   let signature = signature_of_state
-  let to_scheme = scheme_of_state
 end

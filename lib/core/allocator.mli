@@ -193,6 +193,4 @@ module Search : sig
 
   val signature : state -> string
   (** {!Memo.grouping_signature} of the live allocation. *)
-
-  val to_scheme : state -> Scheme.t
 end

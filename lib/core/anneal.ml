@@ -91,14 +91,13 @@ module Energy = struct
 
   type t = {
     budget : Resource.t;
-    configs : int;
     resources : Resource.t array;  (* per partition *)
-    activity : bool array array;  (* partition -> config -> active *)
+    activity : Prgraph.Cfgset.t array;  (* per partition *)
     placement : int array;  (* committed state; -1 = static *)
     members : int array array;
         (* region id -> its committed partitions, ascending *)
     regions : snapshot array;  (* indexed by region id, 0 .. n-1 *)
-    column : int array;  (* [eval] scratch, one slot per configuration *)
+    claimed : int array;  (* [eval] scratch: configurations with a resident *)
     penalty_fn : (Resource.t array -> int) option;
         (* placement-awareness hook: integer placeability penalty of
            the per-region demand array (regions then static last) *)
@@ -114,35 +113,44 @@ module Energy = struct
     { contribution = 0; quantized = Resource.zero; collided = false }
 
   (* Score one region from its members, which [iter] must visit in
-     ascending partition order: a configuration's column keeps its
-     first claimer, so the contribution of a collided region depends on
-     that order. O(members * configs + configs^2). *)
+     ascending partition order: a configuration's resident is its first
+     claimer, so the contribution of a collided region depends on that
+     order. The conflicting configuration pairs are the pairs of
+     occupied configurations less those with one resident:
+     C(occupied, 2) - sum over members of C(claimed by it, 2). The
+     activity words are read here, in this module (no per-word call
+     into [Cfgset]). O(members * mask words). *)
   let eval t iter =
-    let column = t.column in
-    Array.fill column 0 t.configs (-1);
+    let claimed = t.claimed in
+    let words = Array.length claimed in
+    Array.fill claimed 0 words 0;
     let collided = ref false in
     let resources = ref Resource.zero in
+    let members = ref 0 in
     let occupied = ref 0 in
+    let same = ref 0 in
     iter (fun p ->
-        incr occupied;
+        incr members;
         resources := Resource.max !resources t.resources.(p);
         let act = t.activity.(p) in
-        for c = 0 to t.configs - 1 do
-          if act.(c) then
-            if column.(c) >= 0 then collided := true else column.(c) <- p
-        done);
-    if !occupied = 0 then empty_snapshot
-    else begin
-      let conflicts = ref 0 in
-      for i = 0 to t.configs - 1 do
-        if column.(i) >= 0 then
-          for j = i + 1 to t.configs - 1 do
-            if column.(j) >= 0 && column.(i) <> column.(j) then
-              incr conflicts
+        let mine = ref 0 in
+        for w = 0 to words - 1 do
+          let taken = claimed.(w) and bits = act.(w) in
+          if bits land taken <> 0 then collided := true;
+          claimed.(w) <- taken lor bits;
+          let x = ref (bits land lnot taken) in
+          while !x <> 0 do
+            x := !x land (!x - 1);
+            incr mine
           done
-      done;
+        done;
+        occupied := !occupied + !mine;
+        same := !same + (!mine * (!mine - 1) / 2));
+    if !members = 0 then empty_snapshot
+    else begin
+      let conflicts = (!occupied * (!occupied - 1) / 2) - !same in
       let frames = Tile.frames_of_resources !resources in
-      { contribution = frames * !conflicts;
+      { contribution = frames * conflicts;
         quantized = Tile.quantize !resources;
         collided = !collided }
     end
@@ -209,7 +217,7 @@ module Energy = struct
 
   let create ?penalty ~budget ~static_overhead ~resources ~activity placement =
     let n = Array.length placement in
-    let configs = if n = 0 then 0 else Array.length activity.(0) in
+    let words = if n = 0 then 1 else Array.length activity.(0) in
     let lists = Array.make n [] in
     for p = n - 1 downto 0 do
       let r = placement.(p) in
@@ -217,13 +225,12 @@ module Energy = struct
     done;
     let t =
       { budget;
-        configs;
         resources;
         activity;
         placement = Array.copy placement;
         members = Array.map Array.of_list lists;
         regions = Array.make n empty_snapshot;
-        column = Array.make configs (-1);
+        claimed = Array.make words 0;
         penalty_fn = penalty;
         static_res = static_overhead;
         used = Resource.zero;
@@ -465,12 +472,7 @@ let allocate ?(options = default_options) ?(telemetry = Prtelemetry.null)
         let analysis = Compatibility.analyse design parts in
         if not (Compatibility.covers_design analysis) then None
         else begin
-          let configs = Design.configuration_count design in
-          let activity =
-            Array.init n (fun p ->
-                Array.init configs (fun c ->
-                    Compatibility.active analysis ~bp:p ~config:c))
-          in
+          let activity = Array.init n (Compatibility.activity analysis) in
           let resources =
             Array.map (fun bp -> bp.Base_partition.resources) parts
           in

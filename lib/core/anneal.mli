@@ -74,13 +74,14 @@ module Energy : sig
     budget:Fpga.Resource.t ->
     static_overhead:Fpga.Resource.t ->
     resources:Fpga.Resource.t array ->
-    activity:bool array array ->
+    activity:Prgraph.Cfgset.t array ->
     int array ->
     t
   (** [create ~budget ~static_overhead ~resources ~activity placement]
       builds the engine over [placement] (region id per partition, [-1]
-      for static; region ids are partition indices). [activity.(p).(c)]
-      states whether partition [p] is active in configuration [c].
+      for static; region ids are partition indices). [activity.(p)] is
+      the set of configurations in which partition [p] is active
+      ({!Compatibility.activity}).
 
       [penalty] (default: none) is the placement-awareness hook: called
       with one demand per region id in order plus the static side last
@@ -100,8 +101,8 @@ module Energy : sig
       partitions in strictly ascending order, all in one region or all
       static — to [target] without committing. The committed state is
       untouched, so rejecting the move requires no undo work. Costs
-      O(k + (members of the source and target regions) * configs +
-      configs^2) for a [k]-member unit, independent of the partition
+      O(k + (members of the source and target regions) * mask words)
+      for a [k]-member unit, independent of the partition
       count (plus one call of the [penalty] hook over every region when
       one is installed).
       @raise Invalid_argument on an empty, unsorted or split unit. *)

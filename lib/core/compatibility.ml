@@ -1,10 +1,11 @@
 module Design = Prdesign.Design
 module Base_partition = Cluster.Base_partition
+module Cfgset = Prgraph.Cfgset
 
 type t = {
   design : Design.t;
   partitions : Base_partition.t array;
-  activity : bool array array;  (* bp index x config index *)
+  activity : Cfgset.t array;  (* per partition: its active configurations *)
   covers : bool;
 }
 
@@ -37,7 +38,7 @@ let analyse design partitions =
       partitions.(p).Base_partition.modes
   done;
   let configs = Design.configuration_count design in
-  let activity = Array.make_matrix np configs false in
+  let activity = Array.init np (fun _ -> Cfgset.create configs) in
   let count = Array.make np 0 in
   let touched = Array.make np 0 in
   let uncovered = Array.make modes false in
@@ -71,7 +72,7 @@ let analyse design partitions =
       done;
       if !best < 0 then continue_ := false
       else begin
-        activity.(!best).(c) <- true;
+        Cfgset.add activity.(!best) c;
         List.iter
           (fun m ->
             if uncovered.(m) then begin
@@ -106,33 +107,8 @@ let active t ~bp ~config =
   check_bp t bp;
   if config < 0 || config >= Design.configuration_count t.design then
     invalid_arg "Compatibility.active: configuration index out of range";
-  t.activity.(bp).(config)
+  Cfgset.mem t.activity.(bp) config
 
-let active_configs t p =
+let activity t p =
   check_bp t p;
-  let acc = ref [] in
-  for c = Array.length t.activity.(p) - 1 downto 0 do
-    if t.activity.(p).(c) then acc := c :: !acc
-  done;
-  !acc
-
-let compatible t p q =
-  check_bp t p;
-  check_bp t q;
-  if p = q then Array.for_all not t.activity.(p)
-  else begin
-    let configs = Array.length t.activity.(p) in
-    let rec scan c =
-      if c >= configs then true
-      else if t.activity.(p).(c) && t.activity.(q).(c) then false
-      else scan (c + 1)
-    in
-    scan 0
-  end
-
-let compatible_all t group =
-  let rec pairs = function
-    | [] -> true
-    | p :: rest -> List.for_all (fun q -> compatible t p q) rest && pairs rest
-  in
-  pairs group
+  t.activity.(p)

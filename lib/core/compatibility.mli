@@ -16,10 +16,12 @@
     index-list lengths plus picks × touched partitions (those holding at
     least one of its modes).
 
-    Two base partitions are {e compatible} — may share a reconfigurable
-    region — iff no configuration activates both (paper §IV-C; for
-    disjoint partitions this coincides with the paper's mode-co-occurrence
-    rule). *)
+    Each partition's result is the {!Prgraph.Cfgset.t} of the
+    configurations activating it. Two base partitions are {e compatible}
+    — may share a reconfigurable region — iff their sets are
+    {!Prgraph.Cfgset.disjoint}: no configuration activates both (paper
+    §IV-C; for disjoint partitions this coincides with the paper's
+    mode-co-occurrence rule). *)
 
 type t
 
@@ -36,13 +38,10 @@ val covers_design : t -> bool
     configuration). *)
 
 val active : t -> bp:int -> config:int -> bool
+(** Whether the configuration activates the partition.
+    @raise Invalid_argument on out-of-range indices. *)
 
-val active_configs : t -> int -> int list
-(** Configurations in which partition [bp] is active, ascending. *)
-
-val compatible : t -> int -> int -> bool
-(** [compatible t p q] — no configuration activates both [p] and [q].
-    [compatible t p p = false] whenever [p] is active anywhere. *)
-
-val compatible_all : t -> int list -> bool
-(** Pairwise compatibility of a whole group. *)
+val activity : t -> int -> Prgraph.Cfgset.t
+(** The configurations in which the partition is active. The set is the
+    analysis's own: callers must not mutate it.
+    @raise Invalid_argument on an out-of-range index. *)

@@ -2,6 +2,7 @@ module Design = Prdesign.Design
 module Base_partition = Cluster.Base_partition
 module Resource = Fpga.Resource
 module Tile = Fpga.Tile
+module Cfgset = Prgraph.Cfgset
 
 type result = {
   scheme : Scheme.t option;
@@ -22,6 +23,7 @@ type result = {
 type group = {
   members : int list;  (* reverse assignment order *)
   column : int array;  (* config -> resident partition or -1 *)
+  mask : Cfgset.t;  (* configurations with a resident *)
   resources : Resource.t;
   active_count : int;  (* configurations with a resident *)
   conflicts : int;  (* config pairs with distinct residents *)
@@ -39,30 +41,27 @@ let conflicts_of_column column =
   done;
   !count
 
-let group_of ~configs ~activity ~active_counts ~parts p =
-  let column =
-    Array.init configs (fun c -> if activity.(p).(c) then p else -1)
-  in
+let group_of ~configs ~masks ~active_counts ~parts p =
+  let column = Array.make configs (-1) in
+  Cfgset.iter (fun c -> column.(c) <- p) masks.(p);
   (* A single resident everywhere that is occupied: no conflicting
      pair, so the contribution is zero whatever the frame count. *)
   { members = [ p ];
     column;
+    mask = masks.(p);
     resources = parts.(p).Base_partition.resources;
     active_count = active_counts.(p);
     conflicts = 0;
     contribution = 0 }
 
-let extend_group ~activity ~active_counts ~parts group p =
+let extend_group ~masks ~active_counts ~parts group p =
   (* [None] when partition [p] is co-active with the group somewhere. *)
-  let column = Array.copy group.column in
-  let ok = ref true in
-  Array.iteri
-    (fun c active ->
-      if active then
-        if column.(c) >= 0 then ok := false else column.(c) <- p)
-    activity.(p);
-  if not !ok then None
+  if not (Cfgset.disjoint group.mask masks.(p)) then None
   else begin
+    let column = Array.copy group.column in
+    Cfgset.iter (fun c -> column.(c) <- p) masks.(p);
+    let mask = Array.copy group.mask in
+    Cfgset.union_into mask masks.(p);
     let resources =
       Resource.max group.resources parts.(p).Base_partition.resources
     in
@@ -70,6 +69,7 @@ let extend_group ~activity ~active_counts ~parts group p =
     Some
       { members = p :: group.members;
         column;
+        mask;
         resources;
         active_count = group.active_count + active_counts.(p);
         conflicts;
@@ -108,17 +108,8 @@ let allocate ?(promote_static = true) ?(max_states = 2_000_000)
       { scheme = None; optimal = true; states = 0 }
     else begin
       let configs = Design.configuration_count design in
-      let activity =
-        Array.init n (fun p ->
-            Array.init configs (fun c ->
-                Compatibility.active analysis ~bp:p ~config:c))
-      in
-      let active_counts =
-        Array.map
-          (fun row ->
-            Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 row)
-          activity
-      in
+      let masks = Array.init n (Compatibility.activity analysis) in
+      let active_counts = Array.map Cfgset.popcount masks in
       let states = ref 0 in
       let truncated = ref false in
       let best = ref None in
@@ -210,7 +201,7 @@ let allocate ?(promote_static = true) ?(max_states = 2_000_000)
           else begin
             List.iter
               (fun g ->
-                match extend_group ~activity ~active_counts ~parts g p with
+                match extend_group ~masks ~active_counts ~parts g p with
                 | None -> ()
                 | Some g' ->
                   Prtelemetry.Counter.incr delta_evals;
@@ -221,7 +212,7 @@ let allocate ?(promote_static = true) ?(max_states = 2_000_000)
                   assign (p + 1) rest statics
                     (committed - g.contribution + g'.contribution))
               groups;
-            let fresh = group_of ~configs ~activity ~active_counts ~parts p in
+            let fresh = group_of ~configs ~masks ~active_counts ~parts p in
             assign (p + 1) (groups @ [ fresh ]) statics
               (committed + fresh.contribution);
             if promote_static then assign (p + 1) groups (p :: statics) committed

@@ -3,6 +3,7 @@ module Base_partition = Cluster.Base_partition
 module Resource = Fpga.Resource
 module Tile = Fpga.Tile
 module Energy = Anneal.Energy
+module Cfgset = Prgraph.Cfgset
 
 type options = {
   coarsest : int;
@@ -62,39 +63,6 @@ let nodes design =
       | None -> None)
     (Design.all_mode_ids design)
 
-(* Active-configuration sets as bitmasks (63 bits per word), so
-   compatibility of two coarse nodes — disjoint activity — is a few
-   word ANDs instead of a configuration scan. *)
-let words_for configs = Int.max 1 ((configs + 62) / 63)
-
-let mask_of_activity ~words act =
-  let mask = Array.make words 0 in
-  Array.iteri
-    (fun c on ->
-      if on then
-        mask.(c / 63) <- mask.(c / 63) lor (1 lsl (c mod 63)))
-    act;
-  mask
-
-let disjoint a b =
-  let ok = ref true in
-  for w = 0 to Array.length a - 1 do
-    if a.(w) land b.(w) <> 0 then ok := false
-  done;
-  !ok
-
-let popcount mask =
-  let count = ref 0 in
-  Array.iter
-    (fun w ->
-      let w = ref w in
-      while !w <> 0 do
-        w := !w land (!w - 1);
-        incr count
-      done)
-    mask;
-  !count
-
 (* Coarse nodes as flat per-node arrays, so scoring a pair allocates
    nothing and calls nothing outside this module (the dev build passes
    [-opaque], so no cross-module call is inlined). A node is a set of
@@ -106,10 +74,12 @@ let popcount mask =
    halves'. [conflicts] is the internal conflicting configuration-pair
    count, maintained with the same O(1) delta the exact allocator uses
    (disjoint active sets, so merging [a] and [b] adds exactly
-   [acts a * acts b] cross pairs). *)
+   [acts a * acts b] cross pairs). A node's activity is a {!Cfgset.t}
+   stored in place, so compatibility of two nodes — disjoint activity —
+   is a few word ANDs read here. *)
 type flat = {
   words : int;
-  mask : int array;  (* node k's activity words at [k * words] *)
+  mask : int array;  (* node k's Cfgset words at [k * words] *)
   acts : int array;
   conflicts : int array;
   clb : int array;  (* tiles of each kind *)
@@ -157,7 +127,7 @@ let leaves ~words ~masks ~(resources : Resource.t array) =
   let f = flat_make ~words n in
   for p = 0 to n - 1 do
     Array.blit masks.(p) 0 f.mask (p * words) words;
-    f.acts.(p) <- popcount masks.(p);
+    f.acts.(p) <- Cfgset.popcount masks.(p);
     let r = resources.(p) in
     let c = Tile.tiles_for Clb r.clb
     and b = Tile.tiles_for Bram r.bram
@@ -274,7 +244,7 @@ let rank_partners ~limit ~masks ~score =
   if limit > 0 then
     for u = 0 to n - 1 do
       for v = u + 1 to n - 1 do
-        if disjoint masks.(u) masks.(v) then begin
+        if Cfgset.disjoint masks.(u) masks.(v) then begin
           let s = score u v in
           offer u s v;
           offer v s u
@@ -453,15 +423,11 @@ let coarsen_nodes ~coarsest ~(budget : Resource.t) leaves =
 (* Each partition's active configurations, and the partitions as
    flat leaf nodes. *)
 let activity_leaves design analysis ~resources =
-  let configs = Design.configuration_count design in
-  let words = words_for configs in
-  let activity =
-    Array.init (Array.length resources) (fun p ->
-        Array.init configs (fun c ->
-            Compatibility.active analysis ~bp:p ~config:c))
+  let words = Cfgset.words_for (Design.configuration_count design) in
+  let masks =
+    Array.init (Array.length resources) (Compatibility.activity analysis)
   in
-  let masks = Array.map (mask_of_activity ~words) activity in
-  (activity, leaves ~words ~masks ~resources)
+  (masks, leaves ~words ~masks ~resources)
 
 let coarsen ?(options = default_options) ~budget design partitions =
   match partitions with

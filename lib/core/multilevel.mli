@@ -20,7 +20,7 @@
 
     Refinement reuses the {!Anneal.Energy} incremental kernel: a trial
     moving a [k]-member unit costs O(k + (members of the source and
-    target regions) * configs + configs^2), independent of the design
+    target regions) * configuration-mask words), independent of the design
     size, and refined schemes stay exactly costed. Each level first
     ranks every unit's candidate partners, O(units^2) mask tests. A
     move is accepted only when it strictly reduces
@@ -117,11 +117,11 @@ val allocate_stats :
 
 val rank_partners :
   limit:int ->
-  masks:int array array ->
+  masks:Prgraph.Cfgset.t array ->
   score:(int -> int -> int) ->
   int list array
 (** [rank_partners ~limit ~masks ~score] lists, for every unit [u], the
-    at most [limit] units [v <> u] whose activity bitmasks are disjoint
+    at most [limit] units [v <> u] whose activity sets are disjoint
     from [u]'s, least [(score u v, v)] first — the candidate partners
     refinement proposes. [score] must be symmetric: each unordered pair
     is scored once. [limit <= 0] gives no partners. Exposed for the
@@ -141,7 +141,7 @@ val coarsen :
     Exposed for the Prscale differential test. *)
 
 val unit_scores :
-  masks:int array array ->
+  masks:Prgraph.Cfgset.t array ->
   resources:Fpga.Resource.t array ->
   int list array ->
   int ->
@@ -150,6 +150,5 @@ val unit_scores :
 (** [unit_scores ~masks ~resources units u v] is the partner score
     refinement ranks [units] by: the reconfiguration-time delta of
     merging units [u] and [v] into one region, given each partition's
-    activity bitmask (63 configurations per word) and resources. Each
-    unit absorbs its members in list order. Exposed for the Prscale
-    differential test. *)
+    activity set and resources. Each unit absorbs its members in list
+    order. Exposed for the Prscale differential test. *)

@@ -133,10 +133,6 @@ val run :
 
 val render_summary : report -> string
 
-val render_resilience : report -> string
-(** The resilience section of {!render_summary} alone; [""] when the
-    assessment did not run. *)
-
 val write_outputs :
   ?fsync:bool -> dir:string -> report -> (string list, string) result
 (** Write every artefact under [dir] (created with its missing ancestors):

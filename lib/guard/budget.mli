@@ -22,8 +22,6 @@ val cancel_token : unit -> cancel
 val cancel : cancel -> unit
 (** Request cancellation.  Idempotent; safe from any domain. *)
 
-val cancelled : cancel -> bool
-
 (** {1 Clocks} *)
 
 type clock = unit -> float

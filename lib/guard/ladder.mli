@@ -23,8 +23,6 @@ type t = { rungs : rung list }
 
 val rung_name : rung_kind -> string
 
-val rung_kind_of_string : string -> rung_kind option
-
 val default : t
 (** [exact] capped at 150k evaluations, then [anneal] capped at 40k, then
     unlimited [greedy], then the [single-region] baseline. *)

@@ -22,8 +22,6 @@ val variant_module :
 (** The region-variant netlist for one cluster: member modes chained
     stream-wise in module-index order. *)
 
-val variant_name : Prdesign.Design.t -> Cluster.Base_partition.t -> string
-
 val static_wrapper : Prcore.Scheme.t -> Ast.module_decl option
 (** [None] when the scheme promotes nothing to static. Static clusters
     get independent stream ports ([sN_*]/[mN_*]). *)

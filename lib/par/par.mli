@@ -9,8 +9,8 @@
 
     Callers that fan work out repeatedly (the synthetic sweep solves
     ~1000 designs) should create one {!Pool.t} and reuse it; one-shot
-    callers can use {!map_array}/{!map_list} which wrap
-    {!Pool.with_pool}.
+    callers can use {!map_array}/{!map_list}, which create and shut
+    down a pool per call.
 
     Graceful fallback: [jobs <= 1] (or a single-item input) never
     spawns a domain — the map runs inline on the calling domain, making
@@ -85,9 +85,6 @@ module Pool : sig
   val shutdown : t -> unit
   (** Terminate and join the worker domains. Idempotent. Maps after
       shutdown run inline (single-domain fallback). *)
-
-  val with_pool : ?telemetry:Prtelemetry.t -> jobs:int -> (t -> 'a) -> 'a
-  (** Create, run, and always shut down (also on exceptions). *)
 end
 
 val map_array :

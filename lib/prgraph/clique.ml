@@ -33,44 +33,3 @@ let new_cliques_after_link ?(keep = fun _ -> true) ?(limit = 100_000) g u v =
     if !count < limit then extend base candidates
   end;
   List.rev !results
-
-let maximal_cliques g =
-  let n = Wgraph.size g in
-  let results = ref [] in
-  let to_list set = List.filter (fun i -> set.(i)) (List.init n Fun.id) in
-  (* Bron-Kerbosch with pivoting over bool-array node sets; graphs here
-     are tiny (tens of nodes), so clarity beats bit tricks. *)
-  let rec bron r p x =
-    let p_nodes = to_list p and x_nodes = to_list x in
-    if p_nodes = [] && x_nodes = [] then results := to_list r :: !results
-    else begin
-      let pivot =
-        let best = ref (-1) and best_deg = ref (-1) in
-        List.iter
-          (fun c ->
-            let deg =
-              List.length (List.filter (fun w -> Wgraph.linked g c w) p_nodes)
-            in
-            if deg > !best_deg then begin
-              best := c;
-              best_deg := deg
-            end)
-          (p_nodes @ x_nodes);
-        !best
-      in
-      let expand = List.filter (fun v -> not (Wgraph.linked g pivot v)) p_nodes in
-      List.iter
-        (fun v ->
-          let restrict set =
-            Array.mapi (fun i b -> b && Wgraph.linked g v i) set
-          in
-          let r' = Array.copy r in
-          r'.(v) <- true;
-          bron r' (restrict p) (restrict x);
-          p.(v) <- false;
-          x.(v) <- true)
-        expand
-    end
-  in
-  bron (Array.make n false) (Array.make n true) (Array.make n false);
-  List.sort compare !results

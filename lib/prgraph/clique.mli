@@ -23,8 +23,3 @@ val new_cliques_after_link :
     graphs the unexplored remainder is exponentially larger than the
     recorded prefix, so the cut-off keeps a single link's cost bounded.
     @raise Invalid_argument if [u] and [v] are not linked. *)
-
-val maximal_cliques : Wgraph.t -> int list list
-(** All maximal cliques of the linked graph (Bron–Kerbosch with pivoting),
-    each sorted ascending; used by tests and analysis tools. Isolated
-    nodes are returned as singleton cliques. *)

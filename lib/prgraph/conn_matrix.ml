@@ -2,28 +2,22 @@ module Design = Prdesign.Design
 
 type t = {
   design : Design.t;
-  bits : bool array array;  (* configurations x modes *)
-  node_weights : int array;
+  masks : Cfgset.t array;  (* per mode: the configurations using it *)
 }
 
 let make design =
-  let c = Design.configuration_count design in
-  let m = Design.mode_count design in
-  let bits = Array.make_matrix c m false in
-  for i = 0 to c - 1 do
-    List.iter (fun j -> bits.(i).(j) <- true) (Design.config_mode_ids design i)
+  let configs = Design.configuration_count design in
+  let masks =
+    Array.init (Design.mode_count design) (fun _ -> Cfgset.create configs)
+  in
+  for c = 0 to configs - 1 do
+    List.iter (fun j -> Cfgset.add masks.(j) c) (Design.config_mode_ids design c)
   done;
-  let node_weights = Array.make m 0 in
-  for i = 0 to c - 1 do
-    for j = 0 to m - 1 do
-      if bits.(i).(j) then node_weights.(j) <- node_weights.(j) + 1
-    done
-  done;
-  { design; bits; node_weights }
+  { design; masks }
 
 let design t = t.design
-let configurations t = Array.length t.bits
-let modes t = Array.length t.node_weights
+let configurations t = Design.configuration_count t.design
+let modes t = Array.length t.masks
 
 let check_config t i =
   if i < 0 || i >= configurations t then
@@ -36,55 +30,33 @@ let check_mode t j =
 let mem t ~config ~mode =
   check_config t config;
   check_mode t mode;
-  t.bits.(config).(mode)
+  Cfgset.mem t.masks.(mode) config
 
 let node_weight t j =
   check_mode t j;
-  t.node_weights.(j)
+  Cfgset.popcount t.masks.(j)
 
 let edge_weight t i j =
   check_mode t i;
   check_mode t j;
-  let count = ref 0 in
-  for c = 0 to configurations t - 1 do
-    if t.bits.(c).(i) && t.bits.(c).(j) then incr count
-  done;
-  !count
+  Cfgset.popcount (Cfgset.inter t.masks.(i) t.masks.(j))
 
 let support t mode_list =
   List.iter (check_mode t) mode_list;
-  let count = ref 0 in
-  for c = 0 to configurations t - 1 do
-    if List.for_all (fun j -> t.bits.(c).(j)) mode_list then incr count
-  done;
-  !count
+  match mode_list with
+  | [] -> configurations t
+  | j :: rest ->
+    Cfgset.popcount
+      (List.fold_left (fun acc k -> Cfgset.inter acc t.masks.(k)) t.masks.(j)
+         rest)
 
 let supported t mode_list = support t mode_list > 0
 
 let config_modes t i =
   check_config t i;
-  let acc = ref [] in
-  for j = modes t - 1 downto 0 do
-    if t.bits.(i).(j) then acc := j :: !acc
-  done;
-  !acc
+  List.filter (fun j -> Cfgset.mem t.masks.(j) i) (List.init (modes t) Fun.id)
 
 let active_modes t =
-  List.filter (fun j -> t.node_weights.(j) > 0) (List.init (modes t) Fun.id)
-
-let pp ppf t =
-  let labels = List.map (Design.mode_label t.design) (List.init (modes t) Fun.id) in
-  let width =
-    List.fold_left (fun acc s -> max acc (String.length s)) 4 labels
-  in
-  Format.fprintf ppf "%*s" 8 "";
-  List.iter (fun l -> Format.fprintf ppf " %*s" width l) labels;
-  Format.pp_print_newline ppf ();
-  Array.iteri
-    (fun i row ->
-      Format.fprintf ppf "%8s" t.design.Design.configurations.(i).Prdesign.Configuration.name;
-      Array.iter
-        (fun b -> Format.fprintf ppf " %*d" width (if b then 1 else 0))
-        row;
-      Format.pp_print_newline ppf ())
-    t.bits
+  List.filter
+    (fun j -> Cfgset.popcount t.masks.(j) > 0)
+    (List.init (modes t) Fun.id)

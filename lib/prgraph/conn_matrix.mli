@@ -1,7 +1,9 @@
 (** The connectivity matrix of a design (paper §IV-C): one row per
     configuration, one column per mode; element [(i, j)] is set when mode
-    [j] is active in configuration [i]. Node and edge weights for the
-    clustering graph are column sums and pairwise co-occurrence counts. *)
+    [j] is active in configuration [i]. Each column is kept as the
+    {!Cfgset.t} of the configurations using the mode, so node and edge
+    weights for the clustering graph and cluster supports are popcounts
+    of column intersections. *)
 
 type t
 
@@ -35,6 +37,3 @@ val config_modes : t -> int -> int list
 
 val active_modes : t -> int list
 (** Modes with positive node weight, ascending — the clustering nodes. *)
-
-val pp : Format.formatter -> t -> unit
-(** Renders the matrix with mode labels, like the paper's display. *)

@@ -61,13 +61,6 @@ let common_neighbours t i j =
   done;
   !acc
 
-let is_clique t nodes =
-  let rec pairs = function
-    | [] -> true
-    | x :: rest -> List.for_all (fun y -> linked t x y) rest && pairs rest
-  in
-  pairs nodes
-
 let min_internal_weight t nodes =
   let rec fold acc = function
     | [] -> acc

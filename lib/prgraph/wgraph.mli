@@ -25,10 +25,6 @@ val neighbours : t -> int -> int list
 
 val common_neighbours : t -> int -> int -> int list
 
-val is_clique : t -> int list -> bool
-(** True when every pair of distinct listed nodes is linked (singletons and
-    the empty list are cliques). *)
-
 val min_internal_weight : t -> int list -> int
 (** Minimum edge weight over pairs of the list — the paper's frequency
     weight for sub-graphs with more than one edge.

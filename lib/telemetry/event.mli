@@ -21,12 +21,10 @@ type t = {
 val kind_to_string : kind -> string
 val kind_of_string : string -> kind option
 
-val to_json : t -> Json.t
-(** Schema: [{"seq":…,"t":…,"kind":…,"name":…,"attrs":{…}}]; the
-    [attrs] field is omitted when empty. *)
-
 val of_json : Json.t -> (t, string) result
-(** Inverse of {!to_json} (attribute order preserved). *)
+(** Inverse of the {!to_jsonl} encoding (attribute order preserved). *)
 
 val to_jsonl : t -> string
-(** One JSONL line, without the trailing newline. *)
+(** One JSONL line, without the trailing newline. Schema:
+    [{"seq":…,"t":…,"kind":…,"name":…,"attrs":{…}}]; the [attrs] field
+    is omitted when empty. *)

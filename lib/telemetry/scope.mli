@@ -29,30 +29,15 @@ val hot_paths : node list -> (string * int * float) list
 (** Spans ranked by accumulated self time (name, calls, self seconds),
     descending; ties break by name. *)
 
-val render_hot : ?limit:int -> node list -> string
-(** The top [limit] (default 10) hot paths as a table. *)
-
-val render_percentiles : Telemetry.t -> string
-(** Deterministic p50/p90/p99/max per span, from the span histograms. *)
-
-val render_exact_depths : Telemetry.t -> string
-(** States/pruned/prune-rate table from [exact.depth<d>.states]/
-    [.pruned] counters; empty string when absent. *)
-
-val render_domains : Telemetry.t -> string
-(** Busy/idle/items/tasks per domain from the [par.domain<i>.*] gauges
-    the pool flushes, headed by [par.utilisation] when present. When no
-    pool ran, a single caller-domain row is synthesised from the
-    [engine.solve] span so the report shape is stable. *)
-
 val render_progress : (int * int) list -> string
 (** Best-cost-over-evaluations table (pairs of cumulative cost
     evaluations and best total frames); empty string for []. *)
 
 val report : Telemetry.t -> string
 (** The full profile: span tree, hot paths, span percentiles, the
-    branch-and-bound depth table, per-domain table. Empty sections are
-    omitted. *)
+    branch-and-bound depth table, and busy/idle/items/tasks per domain
+    (a single caller-domain row from the [engine.solve] span when no
+    pool ran). Empty sections are omitted. *)
 
 val check_exposition : string -> (unit, string) result
 (** Structural validation of a Prometheus text page ({!Telemetry.exposition}):

@@ -102,9 +102,6 @@ val live_histogram : t -> string -> Histogram.t
 val observe : t -> string -> float -> unit
 (** Convenience lookup-and-observe for cold paths. *)
 
-val histograms_list : t -> (string * Histogram.t) list
-(** Sorted by name. *)
-
 (** {1 Merging} *)
 
 val merge : into:t -> t -> unit

@@ -91,6 +91,20 @@ let covering_tests =
               (Compatibility.covers_design analysis))
           (Covering.candidate_sets example partitions)) ]
 
+module Cfgset = Prgraph.Cfgset
+
+(* Two partitions may share a region iff their activity sets are
+   disjoint; a partition is self-compatible only when never active. *)
+let compatible analysis p q =
+  Cfgset.disjoint
+    (Compatibility.activity analysis p)
+    (Compatibility.activity analysis q)
+
+let compatible_all analysis group =
+  List.for_all
+    (fun p -> List.for_all (fun q -> p >= q || compatible analysis p q) group)
+    group
+
 let compatibility_tests =
   [ Alcotest.test_case "activity of singletons mirrors the matrix" `Quick
       (fun () ->
@@ -98,26 +112,26 @@ let compatibility_tests =
         let analysis = Compatibility.analyse example arr in
         (* A1 (index 0 in arr) is in configurations 2 and 4 (conf2, conf4). *)
         Alcotest.(check (list int)) "A1 active" [ 1; 3 ]
-          (Compatibility.active_configs analysis 0);
+          (Cfgset.elements (Compatibility.activity analysis 0));
         Alcotest.(check (list int)) "B2 active" [ 0; 2; 3; 4 ]
-          (Compatibility.active_configs analysis 4));
+          (Cfgset.elements (Compatibility.activity analysis 4)));
     Alcotest.test_case "same-module modes are compatible" `Quick (fun () ->
         let arr = Array.of_list (List.map singleton [ 0; 1; 2; 3; 4; 5; 6; 7 ]) in
         let analysis = Compatibility.analyse example arr in
         (* A1 and A2 never co-occur. *)
-        Alcotest.(check bool) "A1/A2" true (Compatibility.compatible analysis 0 1));
+        Alcotest.(check bool) "A1/A2" true (compatible analysis 0 1));
     Alcotest.test_case "co-occurring modes are incompatible" `Quick (fun () ->
         let arr = Array.of_list (List.map singleton [ 0; 1; 2; 3; 4; 5; 6; 7 ]) in
         let analysis = Compatibility.analyse example arr in
         (* A1 and B1 share conf2. *)
         Alcotest.(check bool) "A1/B1" false
-          (Compatibility.compatible analysis 0 3));
+          (compatible analysis 0 3));
     Alcotest.test_case "self-compatibility only when inactive" `Quick
       (fun () ->
         let arr = Array.of_list (List.map singleton [ 0; 1; 2; 3; 4; 5; 6; 7 ]) in
         let analysis = Compatibility.analyse example arr in
         Alcotest.(check bool) "active bp not self-compatible" false
-          (Compatibility.compatible analysis 0 0));
+          (compatible analysis 0 0));
     Alcotest.test_case "greedy picks the best-covering cluster" `Quick
       (fun () ->
         (* Whole-configuration clusters: each config activates exactly its
@@ -147,7 +161,9 @@ let compatibility_tests =
         let ab = pair [ 0; 3 ] and bc = pair [ 3; 5 ] and ac = pair [ 0; 5 ] in
         let active_lists order =
           let analysis = Compatibility.analyse example (Array.of_list order) in
-          List.mapi (fun i _ -> Compatibility.active_configs analysis i) order
+          List.mapi
+            (fun i _ -> Cfgset.elements (Compatibility.activity analysis i))
+            order
         in
         Alcotest.(check (list (list int))) "ab, bc, ac"
           [ [ 1; 3 ]; [ 1; 2 ]; [] ]
@@ -165,9 +181,9 @@ let compatibility_tests =
         let analysis = Compatibility.analyse example arr in
         (* {A1,A2,A3} pairwise compatible (same module). *)
         Alcotest.(check bool) "A modes" true
-          (Compatibility.compatible_all analysis [ 0; 1; 2 ]);
+          (compatible_all analysis [ 0; 1; 2 ]);
         Alcotest.(check bool) "A1,B1 conflict inside" false
-          (Compatibility.compatible_all analysis [ 0; 1; 3 ])) ]
+          (compatible_all analysis [ 0; 1; 3 ])) ]
 
 let all_separate () =
   (* One region per mode, regions numbered by flat mode id. *)
@@ -611,6 +627,83 @@ let prop_scheme_valid_by_construction =
         Result.is_ok (Scheme.make d assignment)
       | Error _ -> QCheck2.assume_fail ())
 
+(* A design spanning three activity-mask words: every design of the
+   library and the benchmark has far fewer than 63 configurations, so
+   only this one runs the multi-word path end to end. *)
+let wide_design =
+  let spec =
+    { Synth.Generator.default_spec with
+      modules = (4, 4);
+      modes = (3, 3);
+      extra_configs = (260, 260) }
+  in
+  Synth.Generator.generate ~spec (Synth.Rng.make 3)
+    Synth.Generator.Logic_intensive ~index:0
+
+let wide_design_tests =
+  [ Alcotest.test_case "over 126 configurations: matrix, activity, solves"
+      `Quick (fun () ->
+        let design = wide_design in
+        let configs = Design.configuration_count design in
+        Alcotest.(check bool) "three mask words" true (configs > 126);
+        let rows = Array.init configs (Design.config_mode_ids design) in
+        let recount modes =
+          Array.fold_left
+            (fun acc row ->
+              if List.for_all (fun m -> List.mem m row) modes then acc + 1
+              else acc)
+            0 rows
+        in
+        let matrix = Prgraph.Conn_matrix.make design in
+        let modes = Design.mode_count design in
+        for i = 0 to modes - 1 do
+          for j = 0 to modes - 1 do
+            Alcotest.(check int)
+              (Printf.sprintf "edge %d-%d" i j)
+              (recount [ i; j ])
+              (Prgraph.Conn_matrix.edge_weight matrix i j)
+          done
+        done;
+        Alcotest.(check int) "support []" configs
+          (Prgraph.Conn_matrix.support matrix []);
+        Array.iteri
+          (fun c row ->
+            let rec prefixes acc = function
+              | [] -> ()
+              | m :: rest ->
+                let set = acc @ [ m ] in
+                Alcotest.(check int)
+                  (Printf.sprintf "support of config %d prefix" c)
+                  (recount set)
+                  (Prgraph.Conn_matrix.support matrix set);
+                prefixes set rest
+            in
+            prefixes [] row)
+          rows;
+        let nodes = Prcore.Multilevel.nodes design in
+        let analysis = Compatibility.analyse design (Array.of_list nodes) in
+        List.iteri
+          (fun p _ ->
+            let set = Compatibility.activity analysis p in
+            for c = 0 to configs - 1 do
+              Alcotest.(check bool)
+                (Printf.sprintf "activity %d in config %d" p c)
+                (Compatibility.active analysis ~bp:p ~config:c)
+                (Cfgset.mem set c)
+            done)
+          nodes;
+        List.iter
+          (fun strategy ->
+            match Engine.solve ~strategy ~target:Engine.Auto design with
+            | Error m -> Alcotest.fail m
+            | Ok outcome ->
+              Alcotest.(check bool)
+                (Prcore.Strategy.to_string strategy ^ " passes the checker")
+                true
+                (Prverify.Diagnostic.ok
+                   (Prverify.Checker.check_outcome outcome)))
+          [ Prcore.Strategy.Greedy; Prcore.Strategy.Multilevel ]) ]
+
 let () =
   Alcotest.run "core"
     [ ("covering", covering_tests);
@@ -621,6 +714,7 @@ let () =
       ("allocator", allocator_tests);
       ("engine", engine_tests);
       ("case-study", case_study_tests);
+      ("wide-design", wide_design_tests);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_engine_fits; prop_engine_beats_single;

@@ -500,12 +500,7 @@ let prop_energy_incremental =
         let parts = Array.of_list set in
         let n = Array.length parts in
         let analysis = Compatibility.analyse design parts in
-        let configs = Design.configuration_count design in
-        let activity =
-          Array.init n (fun p ->
-              Array.init configs (fun c ->
-                  Compatibility.active analysis ~bp:p ~config:c))
-        in
+        let activity = Array.init n (Compatibility.activity analysis) in
         let resources =
           Array.map (fun bp -> bp.Base_partition.resources) parts
         in
@@ -559,12 +554,7 @@ let prop_energy_incremental_with_penalty =
         let parts = Array.of_list set in
         let n = Array.length parts in
         let analysis = Compatibility.analyse design parts in
-        let configs = Design.configuration_count design in
-        let activity =
-          Array.init n (fun p ->
-              Array.init configs (fun c ->
-                  Compatibility.active analysis ~bp:p ~config:c))
-        in
+        let activity = Array.init n (Compatibility.activity analysis) in
         let resources =
           Array.map (fun bp -> bp.Base_partition.resources) parts
         in
@@ -608,12 +598,7 @@ let energy_fixture design =
     let parts = Array.of_list set in
     let n = Array.length parts in
     let analysis = Compatibility.analyse design parts in
-    let configs = Design.configuration_count design in
-    let activity =
-      Array.init n (fun p ->
-          Array.init configs (fun c ->
-              Compatibility.active analysis ~bp:p ~config:c))
-    in
+    let activity = Array.init n (Compatibility.activity analysis) in
     let resources = Array.map (fun bp -> bp.Base_partition.resources) parts in
     let make placement =
       Anneal.Energy.create

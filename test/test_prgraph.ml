@@ -1,10 +1,12 @@
-(* Tests for the graph substrate: connectivity matrix, weighted graph and
-   clique detection, anchored on the paper's running example. *)
+(* Tests for the graph substrate: configuration sets, connectivity
+   matrix, weighted graph and clique detection, anchored on the paper's
+   running example. *)
 
 module Design_library = Prdesign.Design_library
 module Conn_matrix = Prgraph.Conn_matrix
 module Wgraph = Prgraph.Wgraph
 module Clique = Prgraph.Clique
+module Cfgset = Prgraph.Cfgset
 
 let example = Design_library.running_example
 let matrix = Conn_matrix.make example
@@ -103,16 +105,6 @@ let wgraph_tests =
           (Wgraph.neighbours g a3);
         Alcotest.(check (list int)) "common of A3,B2" [ c3 ]
           (Wgraph.common_neighbours g a3 b2));
-    Alcotest.test_case "is_clique" `Quick (fun () ->
-        let g = fresh_graph () in
-        Wgraph.link g a3 b2;
-        Wgraph.link g a3 c3;
-        Wgraph.link g b2 c3;
-        Alcotest.(check bool) "triangle" true (Wgraph.is_clique g [ a3; b2; c3 ]);
-        Alcotest.(check bool) "missing edge" false
-          (Wgraph.is_clique g [ a3; b2; c1 ]);
-        Alcotest.(check bool) "singleton" true (Wgraph.is_clique g [ a1 ]);
-        Alcotest.(check bool) "empty" true (Wgraph.is_clique g []));
     Alcotest.test_case "min_internal_weight matches the paper" `Quick
       (fun () ->
         (* Paper Fig. 5(b): freq weight of {A3,B2,C3} is 1 via edge A3-C3. *)
@@ -189,22 +181,7 @@ let clique_tests =
         let cliques =
           Clique.new_cliques_after_link g last_i last_j ~limit:2
         in
-        Alcotest.(check int) "limited" 2 (List.length cliques));
-    Alcotest.test_case "maximal cliques of a triangle plus pendant" `Quick
-      (fun () ->
-        let g = Wgraph.create ~n:4 ~weight:(fun _ _ -> 1) in
-        Wgraph.link g 0 1;
-        Wgraph.link g 0 2;
-        Wgraph.link g 1 2;
-        Wgraph.link g 2 3;
-        Alcotest.(check (list (list int))) "cliques"
-          [ [ 0; 1; 2 ]; [ 2; 3 ] ]
-          (Clique.maximal_cliques g));
-    Alcotest.test_case "maximal cliques of empty graph are singletons" `Quick
-      (fun () ->
-        let g = Wgraph.create ~n:3 ~weight:(fun _ _ -> 0) in
-        Alcotest.(check (list (list int))) "singletons" [ [ 0 ]; [ 1 ]; [ 2 ] ]
-          (Clique.maximal_cliques g)) ]
+        Alcotest.(check int) "limited" 2 (List.length cliques)) ]
 
 (* Property: support is antitone in set inclusion. *)
 let prop_support_antitone =
@@ -224,24 +201,44 @@ let prop_edge_weight_is_pair_support =
       || Conn_matrix.edge_weight matrix i j
          = Conn_matrix.support matrix (List.sort_uniq Int.compare [ i; j ]))
 
-(* Property: every maximal clique reported is in fact a clique, on random
-   graphs. *)
-let prop_maximal_cliques_are_cliques =
-  let gen = QCheck2.Gen.(pair (2 -- 8) (0 -- 1000)) in
-  QCheck2.Test.make ~name:"maximal cliques are cliques" ~count:100 gen
-    (fun (n, seed) ->
-      let g = Wgraph.create ~n ~weight:(fun _ _ -> 1) in
-      let state = ref seed in
-      let next () =
-        state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-        !state
+(* Property: every [Cfgset] operation agrees with a [bool array] model,
+   at sizes on both sides of each 63-bit word boundary. *)
+let prop_cfgset_matches_model =
+  let open QCheck2.Gen in
+  let gen =
+    let* n = oneof [ 0 -- 200; oneofl [ 62; 63; 64; 126; 127 ] ] in
+    let* a = array_size (return n) bool in
+    let* b = array_size (return n) bool in
+    return (n, a, b)
+  in
+  QCheck2.Test.make ~name:"cfgset agrees with a bool-array model" ~count:300
+    gen (fun (n, a, b) ->
+      let of_model model =
+        let s = Cfgset.create n in
+        Array.iteri (fun c on -> if on then Cfgset.add s c) model;
+        s
       in
-      for i = 0 to n - 1 do
-        for j = i + 1 to n - 1 do
-          if next () mod 2 = 0 then Wgraph.link g i j
-        done
-      done;
-      List.for_all (fun c -> Wgraph.is_clique g c) (Clique.maximal_cliques g))
+      let elements model =
+        List.filter (fun c -> model.(c)) (List.init n Fun.id)
+      in
+      let sa = of_model a and sb = of_model b in
+      let both = Array.map2 ( && ) a b and either = Array.map2 ( || ) a b in
+      let union = Array.copy sa in
+      Cfgset.union_into union sb;
+      let visited = ref [] in
+      Cfgset.iter (fun c -> visited := c :: !visited) sa;
+      Array.length sa = Cfgset.words_for n
+      && Cfgset.words_for n = Int.max 1 ((n + 62) / 63)
+      && List.for_all
+           (fun c -> Cfgset.mem sa c = a.(c))
+           (List.init n Fun.id)
+      && Cfgset.elements sa = elements a
+      && List.rev !visited = elements a
+      && Cfgset.popcount sa = List.length (elements a)
+      && Cfgset.elements (Cfgset.inter sa sb) = elements both
+      && Cfgset.disjoint sa sb = (elements both = [])
+      && Cfgset.elements union = elements either
+      && Cfgset.elements sb = elements b)
 
 let () =
   Alcotest.run "prgraph"
@@ -250,5 +247,5 @@ let () =
       ("clique", clique_tests);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_support_antitone; prop_edge_weight_is_pair_support;
-            prop_maximal_cliques_are_cliques ] ) ]
+          [ prop_cfgset_matches_model; prop_support_antitone;
+            prop_edge_weight_is_pair_support ] ) ]
