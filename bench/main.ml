@@ -796,7 +796,8 @@ let runtime_size_curve () =
 (* Design-size curve of the greedy allocator itself: [Allocator.allocate]
    on the multilevel node set (one singleton per used mode) of huge-class
    designs at 10/20/40 modules, under [huge_budget], best of three, with
-   the moves its descents evaluated (deterministic). The descent step is
+   the moves its descents evaluated and the total frames of the scheme
+   it returned (both deterministic). The descent step is
    a scan of the pair table, so a step that grows faster than the
    table's n^2 shows as a steepening curve. *)
 let greedy_curve_sizes = [ 10; 20; 40 ]
@@ -806,6 +807,7 @@ type greedy_size = {
   gs_nodes : int;
   gs_ms : float;
   gs_moves : int;
+  gs_total : int option;  (* total frames of the greedy scheme *)
 }
 
 let greedy_size_curve () =
@@ -815,14 +817,20 @@ let greedy_size_curve () =
       let nodes = Prcore.Multilevel.nodes design in
       let budget = huge_budget design in
       let tele = Prtelemetry.create Prtelemetry.Sink.null in
-      ignore (Prcore.Allocator.allocate ~telemetry:tele ~budget design nodes);
+      let scheme =
+        Prcore.Allocator.allocate ~telemetry:tele ~budget design nodes
+      in
       let ms, _ =
         best_ms 3 (fun () -> Prcore.Allocator.allocate ~budget design nodes)
       in
       { gs_modules = modules;
         gs_nodes = List.length nodes;
         gs_ms = ms;
-        gs_moves = Prtelemetry.counter_value tele "alloc.moves_evaluated" })
+        gs_moves = Prtelemetry.counter_value tele "alloc.moves_evaluated";
+        gs_total =
+          Option.map
+            (fun s -> (Prcore.Cost.evaluate s).Prcore.Cost.total_frames)
+            scheme })
     greedy_curve_sizes
 
 (* Quality gap of the multilevel scheme against an eval-capped anneal
@@ -1952,7 +1960,11 @@ let bench_json () =
                              [ ("modules", Int r.gs_modules);
                                ("nodes", Int r.gs_nodes);
                                ("ms_per_run", Float r.gs_ms);
-                               ("moves_evaluated", Int r.gs_moves) ] ))
+                               ("moves_evaluated", Int r.gs_moves);
+                               ( "total_frames",
+                                 match r.gs_total with
+                                 | Some t -> Int t
+                                 | None -> Null ) ] ))
                        greedy_curve) ) ] );
           ( "runtime",
             Obj

@@ -2,6 +2,7 @@ module Design = Prdesign.Design
 module Base_partition = Cluster.Base_partition
 module Resource = Fpga.Resource
 module Tile = Fpga.Tile
+module Cfgset = Prgraph.Cfgset
 
 type options = { max_restarts : int; promote_static : bool }
 
@@ -29,17 +30,13 @@ let[@inline] deficit3 ~(budget : Resource.t) clb bram dsp =
 let deficit ~budget (used : Resource.t) =
   deficit3 ~budget used.clb used.bram used.dsp
 
-(* A live region: its member partitions (priority order), the resident
-   partition per configuration (-1 = don't care), the sorted array of
-   configurations in which it is active, and cached area/cost. *)
+(* A live region: its member partitions (priority order), its quantized
+   area and whether it is live. Its activity, tiles, frames and integer
+   conflict count are the node of the same index in the state's {!Merge}
+   store. *)
 type region = {
   mutable members : int list;
-  mutable column : int array;
-  mutable active : int array;  (* ascending configs with a resident *)
-  mutable resources : Resource.t;
   mutable quantized : Resource.t;
-  mutable frames : int;
-  mutable conflicts : float;  (* weighted count of reconfiguring pairs *)
   mutable alive : bool;
 }
 
@@ -60,19 +57,25 @@ type table = {
   used : int array;  (* [| clb; bram; dsp |] of {!used_resources} *)
 }
 
+(* A non-unit pair weight: the flattened symmetric matrix,
+   [weights.(i * configs + j)], one array load per pair with no closure
+   call, and each region's weighted conflict sum. *)
+type weighting = {
+  configs : int;
+  weights : float array;
+  conflicts : float array;  (* per region *)
+}
+
 type state = {
   design : Design.t;
   partitions : Base_partition.t array;
+  activity : Cfgset.t array;  (* per partition *)
+  nodes : Merge.t;  (* node k: region k *)
   regions : region array;  (* indexed by founding partition *)
   mutable statics : int list;  (* partitions promoted to static *)
-  configs : int;
-  weights : float array;
-      (* Flattened symmetric pair-weight matrix, [i * configs + j]:
-         one array load per pair on the hot path, no closure calls. *)
+  weighting : weighting option;  (* [None]: unit weight *)
   table : table;
 }
-
-let weight state i j = state.weights.((i * state.configs) + j)
 
 let flatten_weights ~configs pair_weight =
   let w = Array.make (configs * configs) 0. in
@@ -85,76 +88,41 @@ let flatten_weights ~configs pair_weight =
   done;
   w
 
-let active_of_column column =
-  let count = ref 0 in
-  Array.iter (fun r -> if r >= 0 then incr count) column;
-  let active = Array.make !count 0 in
-  let k = ref 0 in
+(* The weighted conflict sum of merging regions [i] and [j]: every
+   (active in i, active in j) configuration pair reconfigures, so only
+   the cross term is new. *)
+let merged_weight w nodes i j =
+  w.conflicts.(i) +. w.conflicts.(j)
+  +. Merge.cross nodes ~weights:w.weights ~configs:w.configs i j
+
+(* Region [i]'s share of the objective, frames times conflicts. Under
+   the unit weight the product is formed in integers by [Merge]; its
+   conversion is exact below 2^53, so it is bit-equal to the float
+   product of the two. *)
+let contribution state i =
+  let frames = Merge.frames state.nodes i in
+  match state.weighting with
+  | None -> float_of_int (frames * Merge.conflicts state.nodes i)
+  | Some w -> float_of_int frames *. w.conflicts.(i)
+
+let merge_dtime state i j =
+  let nodes = state.nodes in
+  match state.weighting with
+  | None -> float_of_int (Merge.merge_dtime nodes i j)
+  | Some w ->
+    (float_of_int (Merge.merged_frames nodes i j) *. merged_weight w nodes i j)
+    -. (float_of_int (Merge.frames nodes i) *. w.conflicts.(i))
+    -. (float_of_int (Merge.frames nodes j) *. w.conflicts.(j))
+
+let promote_dtime state i = -.contribution state i
+
+(* The summed contributions of the live regions, in region order. *)
+let objective state =
+  let acc = ref 0. in
   Array.iteri
-    (fun c r ->
-      if r >= 0 then begin
-        active.(!k) <- c;
-        incr k
-      end)
-    column;
-  active
-
-(* Weighted sum over unordered config pairs with two distinct
-   non-don't-care residents. With the default unit weight this is the
-   paper's conflict count (eq. 8's decision variable summed over pairs).
-   From-scratch reference — initialisation and the delta-equivalence
-   property test; the search itself uses [cross] deltas. *)
-let conflicts_of_column state column =
-  let n = Array.length column in
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    let a = column.(i) in
-    if a >= 0 then
-      for j = i + 1 to n - 1 do
-        let b = column.(j) in
-        if b >= 0 && a <> b then acc := !acc +. weight state i j
-      done
-  done;
+    (fun i r -> if r.alive then acc := !acc +. contribution state i)
+    state.regions;
   !acc
-
-(* The incremental kernel. Regions partition the member set, so two
-   mergeable regions always host distinct residents: after a merge,
-   every (active-in-a, active-in-b) configuration pair reconfigures.
-   The merged conflict weight is therefore
-     a.conflicts + b.conflicts + cross a b
-   — only the pairs whose residents change are touched, O(|A|·|B|)
-   instead of the O(configs^2) column rescan. *)
-let[@inline] cross state a b =
-  let acc = ref 0. in
-  let aa = a.active and ba = b.active in
-  let na = Array.length aa and nb = Array.length ba in
-  for i = 0 to na - 1 do
-    let row = aa.(i) * state.configs in
-    for j = 0 to nb - 1 do
-      acc := !acc +. state.weights.(row + ba.(j))
-    done
-  done;
-  !acc
-
-let merged_conflicts state a b = a.conflicts +. b.conflicts +. cross state a b
-
-let refresh_cost state region =
-  region.quantized <- Tile.quantize region.resources;
-  region.frames <- Tile.frames_of_resources region.resources;
-  region.conflicts <- conflicts_of_column state region.column
-
-(* Two regions may merge iff no configuration needs both — an ordered
-   walk over the two sorted active arrays, O(|A| + |B|). *)
-let mergeable a b =
-  let aa = a.active and ba = b.active in
-  let na = Array.length aa and nb = Array.length ba in
-  let rec disjoint i j =
-    if i >= na || j >= nb then true
-    else if aa.(i) = ba.(j) then false
-    else if aa.(i) < ba.(j) then disjoint (i + 1) j
-    else disjoint i (j + 1)
-  in
-  disjoint 0 0
 
 let static_resources state =
   List.fold_left
@@ -171,41 +139,24 @@ let pair_index state i j =
   if i < j then (i * Array.length state.regions) + j
   else (j * Array.length state.regions) + i
 
-(* Score the compatible pair (i, j), i < j, into the table with the same
-   arithmetic, operand order included, as [evaluate_move]'s merge case
-   ([Tile.quantize] and [Tile.frames_of_resources] spelt out per kind),
-   so an entry is bit-equal to a fresh evaluation. *)
+(* Score the compatible pair (i, j), i < j, into the table with
+   [evaluate_move]'s merge arithmetic, so an entry is bit-equal to a
+   fresh evaluation. *)
 let score_pair state i j =
   let t = state.table in
   let k = pair_index state i j in
-  let a = state.regions.(i) and b = state.regions.(j) in
-  let ra = a.resources and rb = b.resources in
-  let tiles kind x y = Tile.tiles_for kind (if x > y then x else y) in
-  let clb = tiles Clb ra.clb rb.clb
-  and bram = tiles Bram ra.bram rb.bram
-  and dsp = tiles Dsp ra.dsp rb.dsp in
-  let frames =
-    (clb * Tile.frames_per_tile Clb)
-    + (bram * Tile.frames_per_tile Bram)
-    + (dsp * Tile.frames_per_tile Dsp)
-  in
-  let conflicts = merged_conflicts state a b in
+  let merged = Merge.merged_quantized state.nodes i j in
   Bytes.set t.can_merge k '\001';
-  t.merged_clb.(k) <- clb * Tile.primitives_per_tile Clb;
-  t.merged_bram.(k) <- bram * Tile.primitives_per_tile Bram;
-  t.merged_dsp.(k) <- dsp * Tile.primitives_per_tile Dsp;
-  t.merge_dtime.(k) <-
-    (float_of_int frames *. conflicts)
-    -. (float_of_int a.frames *. a.conflicts)
-    -. (float_of_int b.frames *. b.conflicts)
+  t.merged_clb.(k) <- merged.clb;
+  t.merged_bram.(k) <- merged.bram;
+  t.merged_dsp.(k) <- merged.dsp;
+  t.merge_dtime.(k) <- merge_dtime state i j
 
 let kill_pair state i j =
   Bytes.set state.table.can_merge (pair_index state i j) '\000'
 
 let can_merge state i j =
   Bytes.get state.table.can_merge (pair_index state i j) <> '\000'
-
-let promote_dtime r = -.(float_of_int r.frames *. r.conflicts)
 
 let create_table n =
   { can_merge = Bytes.make (n * n) '\000';
@@ -227,45 +178,49 @@ let fill_table state =
   t.used.(1) <- used.bram;
   t.used.(2) <- used.dsp;
   Array.iteri
-    (fun i r ->
-      let raw = state.partitions.(i).Base_partition.resources in
-      t.promote_dtime.(i) <- promote_dtime r;
-      t.raw_clb.(i) <- raw.clb;
-      t.raw_bram.(i) <- raw.bram;
-      t.raw_dsp.(i) <- raw.dsp)
-    state.regions;
+    (fun i (bp : Base_partition.t) ->
+      t.promote_dtime.(i) <- promote_dtime state i;
+      t.raw_clb.(i) <- bp.resources.clb;
+      t.raw_bram.(i) <- bp.resources.bram;
+      t.raw_dsp.(i) <- bp.resources.dsp)
+    state.partitions;
   let n = Array.length state.regions in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      if mergeable state.regions.(i) state.regions.(j) then score_pair state i j
+      if Merge.disjoint state.nodes i j then score_pair state i j
     done
   done
 
-let initial_state ~pair_weight design partitions analysis =
+(* Every partition founds its own region, which has a single resident
+   and so no conflicting configuration pair. *)
+let initial_state ?pair_weight design partitions analysis =
   let configs = Design.configuration_count design in
-  let weights = flatten_weights ~configs pair_weight in
-  let regions =
-    Array.mapi
-      (fun p (bp : Base_partition.t) ->
-        let column = Array.make configs (-1) in
-        Prgraph.Cfgset.iter
-          (fun c -> column.(c) <- p)
-          (Compatibility.activity analysis p);
-        { members = [ p ];
-          column;
-          active = active_of_column column;
-          resources = bp.resources;
-          quantized = Resource.zero;
-          frames = 0;
-          conflicts = 0.;
-          alive = true })
-      partitions
+  let n = Array.length partitions in
+  let activity = Array.init n (Compatibility.activity analysis) in
+  let nodes =
+    Merge.leaves ~words:(Cfgset.words_for configs) ~masks:activity
+      ~resources:(Array.map (fun bp -> bp.Base_partition.resources) partitions)
   in
   let state =
-    { design; partitions; regions; statics = []; configs; weights;
-      table = create_table (Array.length regions) }
+    { design;
+      partitions;
+      activity;
+      nodes;
+      regions =
+        Array.init n (fun p ->
+            { members = [ p ];
+              quantized = Merge.quantized nodes p;
+              alive = true });
+      statics = [];
+      weighting =
+        Option.map
+          (fun pair_weight ->
+            { configs;
+              weights = flatten_weights ~configs pair_weight;
+              conflicts = Array.make n 0. })
+          pair_weight;
+      table = create_table n }
   in
-  Array.iter (refresh_cost state) state.regions;
   fill_table state;
   state
 
@@ -288,36 +243,13 @@ let blit_table ~src ~dst =
 let copy_state ~table state =
   blit_table ~src:state.table ~dst:table;
   { state with
-    regions =
-      Array.map
-        (fun r ->
-          { r with column = Array.copy r.column; active = Array.copy r.active })
-        state.regions;
-    statics = state.statics;
+    nodes = Merge.copy state.nodes;
+    regions = Array.map (fun r -> { r with alive = r.alive }) state.regions;
+    weighting =
+      Option.map
+        (fun w -> { w with conflicts = Array.copy w.conflicts })
+        state.weighting;
     table }
-
-let merged_column a b =
-  Array.init (Array.length a.column) (fun c ->
-      if a.column.(c) >= 0 then a.column.(c) else b.column.(c))
-
-let merged_active a b =
-  (* Merge of two sorted disjoint arrays. *)
-  let aa = a.active and ba = b.active in
-  let na = Array.length aa and nb = Array.length ba in
-  let out = Array.make (na + nb) 0 in
-  let i = ref 0 and j = ref 0 and k = ref 0 in
-  while !i < na || !j < nb do
-    (if !j >= nb || (!i < na && aa.(!i) < ba.(!j)) then begin
-       out.(!k) <- aa.(!i);
-       incr i
-     end
-     else begin
-       out.(!k) <- ba.(!j);
-       incr j
-     end);
-    incr k
-  done;
-  out
 
 type move = Merge of int * int | Promote of int
 
@@ -332,64 +264,46 @@ let state_demands state =
       else if state.regions.(k).alive then state.regions.(k).quantized
       else Resource.zero)
 
+let members_resources state members =
+  List.fold_left
+    (fun acc p ->
+      Resource.add acc state.partitions.(p).Base_partition.resources)
+    Resource.zero members
+
 let moved_demands state move =
   let d = state_demands state in
   let n = Array.length state.regions in
   (match move with
    | Merge (i, j) ->
-     d.(i) <-
-       Tile.quantize
-         (Resource.max state.regions.(i).resources state.regions.(j).resources);
+     d.(i) <- Merge.merged_quantized state.nodes i j;
      d.(j) <- Resource.zero
    | Promote i ->
-     let raw =
-       List.fold_left
-         (fun acc p ->
-           Resource.add acc state.partitions.(p).Base_partition.resources)
-         Resource.zero state.regions.(i).members
-     in
      d.(i) <- Resource.zero;
-     d.(n) <- Resource.add d.(n) raw);
+     d.(n) <-
+       Resource.add d.(n) (members_resources state state.regions.(i).members));
   d
 
 (* Evaluate a move against the current state: the reconfiguration-time
-   delta and the resulting resource usage. Delta evaluation — no column
-   is rebuilt and no O(configs^2) rescan happens. *)
+   delta and the resulting resource usage. *)
 let evaluate_move state used move =
   match move with
   | Merge (i, j) ->
     let a = state.regions.(i) and b = state.regions.(j) in
-    let resources = Resource.max a.resources b.resources in
-    let quantized = Tile.quantize resources in
-    let frames = Tile.frames_of_resources resources in
-    let conflicts = merged_conflicts state a b in
-    let dtime =
-      (float_of_int frames *. conflicts)
-      -. (float_of_int a.frames *. a.conflicts)
-      -. (float_of_int b.frames *. b.conflicts)
-    in
-    let new_used =
+    ( merge_dtime state i j,
       Resource.add
         (Resource.sub (Resource.sub used a.quantized) b.quantized)
-        quantized
-    in
-    (dtime, new_used)
+        (Merge.merged_quantized state.nodes i j) )
   | Promote i ->
     let r = state.regions.(i) in
-    let raw =
-      List.fold_left
-        (fun acc p ->
-          Resource.add acc state.partitions.(p).Base_partition.resources)
-        Resource.zero r.members
-    in
-    ( -.(float_of_int r.frames *. r.conflicts),
-      Resource.add (Resource.sub used r.quantized) raw )
+    ( promote_dtime state i,
+      Resource.add (Resource.sub used r.quantized)
+        (members_resources state r.members) )
 
 (* Apply a move and bring the pair table up to date: a merge rescores
-   the survivor's pairs with a fresh [cross] each (never the sum of the
-   two halves' cross terms, which would reorder the float additions)
-   and kills the absorbed region's; a promotion kills the promoted
-   region's. *)
+   the survivor's pairs that stay compatible (a weighted one with a
+   fresh cross term each, never the sum of the two halves' cross terms,
+   which would reorder the float additions) and kills the absorbed
+   region's; a promotion kills the promoted region's. *)
 let apply_move state move =
   let t = state.table in
   let add_used clb bram dsp =
@@ -400,17 +314,13 @@ let apply_move state move =
   match move with
   | Merge (i, j) ->
     let a = state.regions.(i) and b = state.regions.(j) in
-    (* Delta update: the merged conflicts come from the incremental
-       kernel; only the surviving region is touched. *)
-    let conflicts = merged_conflicts state a b in
+    (match state.weighting with
+     | Some w -> w.conflicts.(i) <- merged_weight w state.nodes i j
+     | None -> ());
+    Merge.absorb ~dst:state.nodes i ~src:state.nodes j;
     let qa = a.quantized and qb = b.quantized in
     a.members <- a.members @ b.members;
-    a.column <- merged_column a b;
-    a.active <- merged_active a b;
-    a.resources <- Resource.max a.resources b.resources;
-    a.quantized <- Tile.quantize a.resources;
-    a.frames <- Tile.frames_of_resources a.resources;
-    a.conflicts <- conflicts;
+    a.quantized <- Merge.quantized state.nodes i;
     b.alive <- false;
     add_used
       (a.quantized.clb - qa.clb - qb.clb)
@@ -419,7 +329,7 @@ let apply_move state move =
     t.raw_clb.(i) <- t.raw_clb.(i) + t.raw_clb.(j);
     t.raw_bram.(i) <- t.raw_bram.(i) + t.raw_bram.(j);
     t.raw_dsp.(i) <- t.raw_dsp.(i) + t.raw_dsp.(j);
-    t.promote_dtime.(i) <- promote_dtime a;
+    t.promote_dtime.(i) <- promote_dtime state i;
     (* The merged region is compatible with [k] iff both halves were,
        so only pairs that stay compatible are rescored. *)
     for k = 0 to Array.length state.regions - 1 do
@@ -452,7 +362,7 @@ let candidate_moves ~promote_static state =
       for j = i + 1 to n - 1 do
         if
           state.regions.(j).alive
-          && mergeable state.regions.(i) state.regions.(j)
+          && Merge.disjoint state.nodes i j
         then moves := Merge (i, j) :: !moves
       done
     end
@@ -692,7 +602,7 @@ let better_scheme a b =
     in
     if key va ea <= key vb eb then Some a' else Some b'
 
-let allocate ?(options = default_options) ?(pair_weight = fun _ _ -> 1.)
+let allocate ?(options = default_options) ?pair_weight
     ?(telemetry = Prtelemetry.null) ?guard ?placement ~budget design
     partitions =
   match partitions with
@@ -746,7 +656,7 @@ let allocate ?(options = default_options) ?(pair_weight = fun _ _ -> 1.)
         let analysis = Compatibility.analyse design parts in
         if not (Compatibility.covers_design analysis) then None
         else begin
-          let base = initial_state ~pair_weight design parts analysis in
+          let base = initial_state ?pair_weight design parts analysis in
           (* Restart outcomes by content signature: restarts from
              different first moves frequently converge to the same
              allocation, which is then scored (and its scheme built)
@@ -768,12 +678,7 @@ let allocate ?(options = default_options) ?(pair_weight = fun _ _ -> 1.)
               | Some _ as seen -> seen
               | None ->
                 let weighted_value =
-                  Array.fold_left
-                    (fun acc r ->
-                      if r.alive then
-                        acc +. (float_of_int r.frames *. r.conflicts)
-                      else acc)
-                    0. state.regions
+                  objective state
                   (* Restart outcomes also rank placement-first:
                      a realisable allocation beats a cheaper one
                      the floorplan estimator rejects. *)
@@ -833,14 +738,14 @@ module Search = struct
   type nonrec state = state
   type nonrec move = move = Merge of int * int | Promote of int
 
-  let initial ?(pair_weight = fun _ _ -> 1.) design partitions =
+  let initial ?pair_weight design partitions =
     match partitions with
     | [] -> None
     | _ ->
       let parts = Array.of_list partitions in
       let analysis = Compatibility.analyse design parts in
       if not (Compatibility.covers_design analysis) then None
-      else Some (initial_state ~pair_weight design parts analysis)
+      else Some (initial_state ?pair_weight design parts analysis)
 
   let moves ?(promote_static = true) state =
     candidate_moves ~promote_static state
@@ -886,17 +791,47 @@ module Search = struct
 
   let alive state r = state.regions.(r).alive
 
-  let region_conflicts state r = state.regions.(r).conflicts
+  let region_conflicts state r =
+    match state.weighting with
+    | None -> float_of_int (Merge.conflicts state.nodes r)
+    | Some w -> w.conflicts.(r)
+
+  (* The from-scratch reference: the residency column of [members],
+     rebuilt from their activity masks, and its weighted sum over
+     unordered configuration pairs with two distinct residents. *)
+  let conflicts_of_members state members =
+    let configs = Design.configuration_count state.design in
+    let column = Array.make configs (-1) in
+    List.iter
+      (fun p -> Cfgset.iter (fun c -> column.(c) <- p) state.activity.(p))
+      members;
+    let weight i j =
+      match state.weighting with
+      | None -> 1.
+      | Some w -> w.weights.((i * configs) + j)
+    in
+    let acc = ref 0. in
+    for i = 0 to configs - 1 do
+      let a = column.(i) in
+      if a >= 0 then
+        for j = i + 1 to configs - 1 do
+          let b = column.(j) in
+          if b >= 0 && a <> b then acc := !acc +. weight i j
+        done
+    done;
+    !acc
 
   let recompute_conflicts state r =
-    conflicts_of_column state state.regions.(r).column
+    conflicts_of_members state state.regions.(r).members
 
   let merge_delta state i j =
-    merged_conflicts state state.regions.(i) state.regions.(j)
+    match state.weighting with
+    | None -> float_of_int (Merge.merged_conflicts state.nodes i j)
+    | Some w -> merged_weight w state.nodes i j
 
   let merge_full state i j =
-    conflicts_of_column state
-      (merged_column state.regions.(i) state.regions.(j))
+    conflicts_of_members state
+      (state.regions.(i).members @ state.regions.(j).members)
 
   let region_count state = Array.length state.regions
   let signature = signature_of_state

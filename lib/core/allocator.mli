@@ -31,7 +31,8 @@ val scalar : Fpga.Resource.t -> float
 (** Area in frame-equivalents: each primitive weighted by the frames
     per primitive of its tile kind ({!Fpga.Tile.frames_per_tile} over
     the primitives a tile holds). The search's deficit and area
-    tie-break measure, shared with {!Anneal} and {!Multilevel}. *)
+    tie-break measure, whose {!deficit} {!Anneal} shares. Of a quantized
+    area it is exactly the frame count. *)
 
 val deficit : budget:Fpga.Resource.t -> Fpga.Resource.t -> float
 (** {!scalar} of the per-kind overrun of [budget]; [0.] iff the usage
@@ -68,16 +69,16 @@ val allocate :
     is polled here), keeping capped runs deterministic; the cap is
     enforced at the engine's candidate-set boundaries.
 
-    Move scoring is {e incremental}: per-region conflict weights are
-    maintained and a merge is costed from the cached values of its two
-    operands plus the cross term over the configuration pairs whose
-    residents actually change, never by rescanning residency columns.
-    Every candidate move lives in a pair table (flat arrays: whether
-    each pair can merge, its merged quantized area and its time delta;
-    each region's promotion delta and raw area), built once per call
-    and copied into each restart. A merge rescores the survivor's pairs
-    that stay compatible (at most [n] cross terms) and kills the
-    absorbed region's; a promotion kills the promoted region's. A descent step is then one
+    Move scoring is {e incremental}: each region is a node of a
+    {!Merge} store, which keeps its integer conflict count, and a merge
+    is costed by the {!Merge} rule from its two operands, never by
+    rescanning residency columns. Every candidate move lives in a pair
+    table (flat arrays: whether each pair can merge, its merged
+    quantized area and its time delta; each region's promotion delta
+    and raw area), built once per call and copied into each restart. A
+    merge rescores the survivor's pairs that stay compatible (at most
+    [n] pair scores) and kills the absorbed region's; a promotion kills
+    the promoted region's. A descent step is then one
     allocation-free O(n²) scan that adds the only usage-dependent term,
     the deficit, and keeps the first strict minimum in the order the
     moves were once listed, so the step order and tie-breaks are those
@@ -85,13 +86,15 @@ val allocate :
     DESIGN.md's Performance section).
 
     [pair_weight i j] weights the cost of configurations [i] and [j]
-    requiring different region contents (unordered pairs, [i < j]). The
-    default unit weight yields the paper's total reconfiguration time;
-    passing long-run transition rates (see [Runtime.Markov.edge_rates],
+    requiring different region contents (unordered pairs, [i < j]).
+    Omitted, every pair weighs one: the paper's total reconfiguration
+    time, costed in integers by {!Merge} with no weight matrix. Passing
+    long-run transition rates (see [Runtime.Markov.edge_rates],
     symmetrised) optimises the expected reconfiguration rate instead —
-    the paper's future-work extension. The weights are flattened into a
-    dense array once per search, so weighted objectives pay no closure
-    overhead on the hot path.
+    the paper's future-work extension. Only then are the weights
+    flattened into a dense array, once per search, so the weighted
+    cross term pays no closure call per pair; it sums the weights in
+    ascending configuration order.
 
     Restart outcomes are deduplicated per call by their canonical
     content signature ({!Memo.grouping_signature}), so restarts that
@@ -178,16 +181,17 @@ module Search : sig
   (** Cached (incrementally maintained) conflict weight of region [r]. *)
 
   val recompute_conflicts : state -> int -> float
-  (** From-scratch recomputation over region [r]'s residency column —
-      the reference the cache is tested against. *)
+  (** From-scratch recomputation over region [r]'s residency column,
+      rebuilt from its members' activity masks — the reference the
+      cache is tested against. *)
 
   val merge_delta : state -> int -> int -> float
   (** Conflict weight of the merged region predicted by the delta
       kernel. *)
 
   val merge_full : state -> int -> int -> float
-  (** Conflict weight of the merged region recomputed from the merged
-      column. *)
+  (** Conflict weight of the merged region recomputed from the column
+      of both regions' members. *)
 
   val region_count : state -> int
 

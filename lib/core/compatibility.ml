@@ -95,8 +95,6 @@ let analyse design partitions =
   done;
   { design; partitions; activity; covers = !covers }
 
-let design t = t.design
-let partitions t = t.partitions
 let covers_design t = t.covers
 
 let check_bp t p =

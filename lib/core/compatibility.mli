@@ -29,9 +29,6 @@ val analyse : Prdesign.Design.t -> Cluster.Base_partition.t array -> t
 (** Build the activity analysis for partitions taken in priority order.
     Partition mode ids must be valid for the design. *)
 
-val design : t -> Prdesign.Design.t
-val partitions : t -> Cluster.Base_partition.t array
-
 val covers_design : t -> bool
 (** True when every mode of every configuration belongs to some listed
     partition (equivalently: greedy resolution covers every

@@ -94,14 +94,15 @@ let better ?placement ~objective a b =
     then Some (sa, ea)
     else Some (sb, eb)
 
+(* [None] is the unit weight, which the allocator costs in integers. *)
 let pair_weight_of_objective ~configs = function
-  | Total_frames -> Ok (fun _ _ -> 1.)
+  | Total_frames -> Ok None
   | Weighted weights ->
     if
       Array.length weights <> configs
       || Array.exists (fun row -> Array.length row <> configs) weights
     then Error "objective weight matrix does not match the configurations"
-    else Ok (fun i j -> weights.(i).(j) +. weights.(j).(i))
+    else Ok (Some (fun i j -> weights.(i).(j) +. weights.(j).(i)))
 
 (* Total cost-model invocations attributable to one [solve] call: full
    [Cost.evaluate] runs plus the allocator's incremental move
@@ -272,7 +273,7 @@ let solve_budget ~options ~strategy ~tele ~jobs ~note_progress ?guard
         let placement = counted_placement telemetry in
         match (strategy : Strategy.t) with
         | Strategy.Greedy ->
-          Allocator.allocate ~options:options.allocator ~pair_weight
+          Allocator.allocate ~options:options.allocator ?pair_weight
             ~telemetry ?guard ?placement ~budget design set
         | Strategy.Exact ->
           let r =

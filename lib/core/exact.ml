@@ -10,71 +10,17 @@ type result = {
   states : int;
 }
 
-(* An in-construction region group; immutable so backtracking is free.
-
-   Conflict counts are maintained incrementally. A fresh single-member
-   group has zero conflicting pairs (every resident is the same
-   partition), and extending a group with a partition whose active set
-   is disjoint from the group's — the compatibility precondition checked
-   by [extend_group] — adds exactly |new active| * |group active|
-   conflicting pairs: every cross pair has two distinct residents, and
-   no within-set pair changes. [conflicts_of_column] remains as the
-   from-scratch reference the delta is property-tested against. *)
+(* An in-construction region group: its members and its node in the
+   search's {!Merge} store. Nodes [0 .. n-1] are the partitions alone,
+   so a fresh group is its founder's leaf, with no conflicting pair; the
+   group that partition [p] extends is copied into node [n + p] and
+   absorbs leaf [p]. A DFS child at depth [p] only writes node [n + p],
+   and a group always sits in a node written at a shallower depth, so
+   backtracking needs no undo. *)
 type group = {
   members : int list;  (* reverse assignment order *)
-  column : int array;  (* config -> resident partition or -1 *)
-  mask : Cfgset.t;  (* configurations with a resident *)
-  resources : Resource.t;
-  active_count : int;  (* configurations with a resident *)
-  conflicts : int;  (* config pairs with distinct residents *)
-  contribution : int;  (* frames * conflicts *)
+  node : int;
 }
-
-let conflicts_of_column column =
-  let n = Array.length column in
-  let count = ref 0 in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if column.(i) >= 0 && column.(j) >= 0 && column.(i) <> column.(j) then
-        incr count
-    done
-  done;
-  !count
-
-let group_of ~configs ~masks ~active_counts ~parts p =
-  let column = Array.make configs (-1) in
-  Cfgset.iter (fun c -> column.(c) <- p) masks.(p);
-  (* A single resident everywhere that is occupied: no conflicting
-     pair, so the contribution is zero whatever the frame count. *)
-  { members = [ p ];
-    column;
-    mask = masks.(p);
-    resources = parts.(p).Base_partition.resources;
-    active_count = active_counts.(p);
-    conflicts = 0;
-    contribution = 0 }
-
-let extend_group ~masks ~active_counts ~parts group p =
-  (* [None] when partition [p] is co-active with the group somewhere. *)
-  if not (Cfgset.disjoint group.mask masks.(p)) then None
-  else begin
-    let column = Array.copy group.column in
-    Cfgset.iter (fun c -> column.(c) <- p) masks.(p);
-    let mask = Array.copy group.mask in
-    Cfgset.union_into mask masks.(p);
-    let resources =
-      Resource.max group.resources parts.(p).Base_partition.resources
-    in
-    let conflicts = group.conflicts + (active_counts.(p) * group.active_count) in
-    Some
-      { members = p :: group.members;
-        column;
-        mask;
-        resources;
-        active_count = group.active_count + active_counts.(p);
-        conflicts;
-        contribution = Tile.frames_of_resources resources * conflicts }
-  end
 
 let allocate ?(promote_static = true) ?(max_states = 2_000_000)
     ?(telemetry = Prtelemetry.null) ?guard ~budget design parts_list =
@@ -109,7 +55,15 @@ let allocate ?(promote_static = true) ?(max_states = 2_000_000)
     else begin
       let configs = Design.configuration_count design in
       let masks = Array.init n (Compatibility.activity analysis) in
-      let active_counts = Array.map Cfgset.popcount masks in
+      let store = Merge.create ~words:(Cfgset.words_for configs) (2 * n) in
+      Array.iteri
+        (fun p mask ->
+          Merge.set_leaf store p ~mask
+            ~resources:parts.(p).Base_partition.resources)
+        masks;
+      let contribution g =
+        Merge.frames store g.node * Merge.conflicts store g.node
+      in
       let states = ref 0 in
       let truncated = ref false in
       let best = ref None in
@@ -123,7 +77,7 @@ let allocate ?(promote_static = true) ?(max_states = 2_000_000)
          | None -> ());
         let used =
           List.fold_left
-            (fun acc g -> Resource.add acc (Tile.quantize g.resources))
+            (fun acc g -> Resource.add acc (Merge.quantized store g.node))
             (List.fold_left
                (fun acc p ->
                  Resource.add acc parts.(p).Base_partition.resources)
@@ -131,24 +85,30 @@ let allocate ?(promote_static = true) ?(max_states = 2_000_000)
             groups
         in
         if Resource.fits used ~within:budget then begin
-          let total = List.fold_left (fun acc g -> acc + g.contribution) 0 groups in
+          let total = List.fold_left (fun acc g -> acc + contribution g) 0 groups in
           if total <= !best_total then begin
             (* Worst-case and area tie-breaks, computed only when the
-               total is competitive. *)
-            let frames =
+               total is competitive, from each group's residency column
+               and frames. *)
+            let columns =
               List.map
-                (fun g -> Tile.frames_of_resources g.resources)
+                (fun g ->
+                  let column = Array.make configs (-1) in
+                  List.iter
+                    (fun p -> Cfgset.iter (fun c -> column.(c) <- p) masks.(p))
+                    g.members;
+                  (column, Merge.frames store g.node))
                 groups
             in
             let worst = ref 0 in
             for i = 0 to configs - 1 do
               for j = i + 1 to configs - 1 do
                 let cost = ref 0 in
-                List.iter2
-                  (fun g f ->
-                    let a = g.column.(i) and b = g.column.(j) in
+                List.iter
+                  (fun (column, f) ->
+                    let a = column.(i) and b = column.(j) in
                     if a >= 0 && b >= 0 && a <> b then cost := !cost + f)
-                  groups frames;
+                  columns;
                 if !cost > !worst then worst := !cost
               done
             done;
@@ -159,7 +119,7 @@ let allocate ?(promote_static = true) ?(max_states = 2_000_000)
               | Some (k, _, _) -> key < k
             in
             if replace then begin
-              best := Some (key, groups, statics);
+              best := Some (key, List.map (fun g -> g.members) groups, statics);
               best_total := total
             end
           end
@@ -201,20 +161,24 @@ let allocate ?(promote_static = true) ?(max_states = 2_000_000)
           else begin
             List.iter
               (fun g ->
-                match extend_group ~masks ~active_counts ~parts g p with
-                | None -> ()
-                | Some g' ->
+                (* Partition [p] may join [g] iff they are never
+                   co-active. *)
+                if Merge.disjoint store g.node p then begin
                   Prtelemetry.Counter.incr delta_evals;
+                  let dtime = Merge.merge_dtime store g.node p in
+                  Merge.copy_node ~src:store g.node ~dst:store (n + p);
+                  Merge.absorb ~dst:store (n + p) ~src:store p;
+                  let g' = { members = p :: g.members; node = n + p } in
                   let rest =
                     List.map (fun other -> if other == g then g' else other)
                       groups
                   in
-                  assign (p + 1) rest statics
-                    (committed - g.contribution + g'.contribution))
+                  assign (p + 1) rest statics (committed + dtime)
+                end)
               groups;
-            let fresh = group_of ~configs ~masks ~active_counts ~parts p in
-            assign (p + 1) (groups @ [ fresh ]) statics
-              (committed + fresh.contribution);
+            assign (p + 1)
+              (groups @ [ { members = [ p ]; node = p } ])
+              statics committed;
             if promote_static then assign (p + 1) groups (p :: statics) committed
           end
         end
@@ -228,8 +192,8 @@ let allocate ?(promote_static = true) ?(max_states = 2_000_000)
           (fun (_, groups, statics) ->
             let placement = Array.make n Scheme.Static in
             List.iteri
-              (fun r g ->
-                List.iter (fun p -> placement.(p) <- Scheme.Region r) g.members)
+              (fun r members ->
+                List.iter (fun p -> placement.(p) <- Scheme.Region r) members)
               groups;
             List.iter (fun p -> placement.(p) <- Scheme.Static) statics;
             Scheme.make_exn design

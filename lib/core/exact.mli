@@ -33,11 +33,13 @@ val allocate :
     by total reconfiguration frames, then worst-case frames, then area in
     frames.
 
-    Group costing is {e incremental}: a fresh group contributes zero
-    conflicts and extending a group with a compatible partition adds
-    exactly [|new active| * |group active|] conflicting pairs (active
-    sets of co-resident partitions are disjoint), so no residency column
-    is rescanned during the DFS.
+    Group costing is {e incremental}, by the {!Merge} rule: a fresh
+    group contributes zero conflicts and extending a group with a
+    compatible partition adds exactly [|new active| * |group active|]
+    conflicting pairs (active sets of co-resident partitions are
+    disjoint), so the running bound moves by {!Merge.merge_dtime}.
+    Residency columns are built only at a leaf whose total is
+    competitive, for the worst-case tie-break.
 
     [guard] (default: none) bounds the search: leaf evaluations are
     charged against the budget, and deadline expiry or cancellation
@@ -50,8 +52,3 @@ val allocate :
     [telemetry] (default {!Prtelemetry.null}, free): an
     ["exact.allocate"] span; ["exact.states"], ["perf.delta_evals"] and
     ["core.cost_evaluations"] (leaf evaluations) counters. *)
-
-val conflicts_of_column : int array -> int
-(** From-scratch conflict count of a residency column (config ->
-    resident partition or [-1]) — the reference the incremental group
-    costing is property-tested against. Exposed for the Prspeed tests. *)

@@ -1,7 +1,6 @@
 module Design = Prdesign.Design
 module Base_partition = Cluster.Base_partition
 module Resource = Fpga.Resource
-module Tile = Fpga.Tile
 module Energy = Anneal.Energy
 module Cfgset = Prgraph.Cfgset
 
@@ -63,158 +62,24 @@ let nodes design =
       | None -> None)
     (Design.all_mode_ids design)
 
-(* Coarse nodes as flat per-node arrays, so scoring a pair allocates
-   nothing and calls nothing outside this module (the dev build passes
-   [-opaque], so no cross-module call is inlined). A node is a set of
-   pairwise-compatible original partitions that will share a region.
-   Its area is kept as tile counts per kind: tile counts are rounded-up
-   quotients, monotone in the primitive count, so
-   [Tile.quantize (Resource.max a b)] is the component-wise max of the
-   two quantized areas and a merged node's tiles are the max of its
-   halves'. [conflicts] is the internal conflicting configuration-pair
-   count, maintained with the same O(1) delta the exact allocator uses
-   (disjoint active sets, so merging [a] and [b] adds exactly
-   [acts a * acts b] cross pairs). A node's activity is a {!Cfgset.t}
-   stored in place, so compatibility of two nodes — disjoint activity —
-   is a few word ANDs read here. *)
-type flat = {
-  words : int;
-  mask : int array;  (* node k's Cfgset words at [k * words] *)
-  acts : int array;
-  conflicts : int array;
-  clb : int array;  (* tiles of each kind *)
-  bram : int array;
-  dsp : int array;
-  frames : int array;
-  area : float array;  (* [Allocator.scalar] of the quantized area *)
-}
-
-let clb_prims = Tile.primitives_per_tile Clb
-let bram_prims = Tile.primitives_per_tile Bram
-let dsp_prims = Tile.primitives_per_tile Dsp
-let clb_frames = Tile.frames_per_tile Clb
-let bram_frames = Tile.frames_per_tile Bram
-let dsp_frames = Tile.frames_per_tile Dsp
-
-(* [Allocator.scalar]'s weights and arithmetic, operand order included,
-   so an area here is bit-equal to [Allocator.scalar (Tile.quantize r)]. *)
-let frames_per_clb = float_of_int clb_frames /. 20.
-let frames_per_bram = float_of_int bram_frames /. 4.
-let frames_per_dsp = float_of_int dsp_frames /. 8.
-
-let[@inline] frames_of_tiles c b d =
-  (c * clb_frames) + (b * bram_frames) + (d * dsp_frames)
-
-let[@inline] area_of_tiles c b d =
-  (float_of_int (c * clb_prims) *. frames_per_clb)
-  +. (float_of_int (b * bram_prims) *. frames_per_bram)
-  +. (float_of_int (d * dsp_prims) *. frames_per_dsp)
-
-let flat_make ~words n =
-  { words;
-    mask = Array.make (n * words) 0;
-    acts = Array.make n 0;
-    conflicts = Array.make n 0;
-    clb = Array.make n 0;
-    bram = Array.make n 0;
-    dsp = Array.make n 0;
-    frames = Array.make n 0;
-    area = Array.make n 0. }
-
-(* One node per partition, each alone. *)
-let leaves ~words ~masks ~(resources : Resource.t array) =
-  let n = Array.length resources in
-  let f = flat_make ~words n in
-  for p = 0 to n - 1 do
-    Array.blit masks.(p) 0 f.mask (p * words) words;
-    f.acts.(p) <- Cfgset.popcount masks.(p);
-    let r = resources.(p) in
-    let c = Tile.tiles_for Clb r.clb
-    and b = Tile.tiles_for Bram r.bram
-    and d = Tile.tiles_for Dsp r.dsp in
-    f.clb.(p) <- c;
-    f.bram.(p) <- b;
-    f.dsp.(p) <- d;
-    f.frames.(p) <- frames_of_tiles c b d;
-    f.area.(p) <- area_of_tiles c b d
-  done;
-  f
-
-let copy_node ~src p ~dst k =
-  Array.blit src.mask (p * src.words) dst.mask (k * dst.words) dst.words;
-  dst.acts.(k) <- src.acts.(p);
-  dst.conflicts.(k) <- src.conflicts.(p);
-  dst.clb.(k) <- src.clb.(p);
-  dst.bram.(k) <- src.bram.(p);
-  dst.dsp.(k) <- src.dsp.(p);
-  dst.frames.(k) <- src.frames.(p);
-  dst.area.(k) <- src.area.(p)
-
-(* Node [a] of [dst] absorbs node [b] of [src]. *)
-let absorb ~dst a ~src b =
-  let words = dst.words in
-  for w = 0 to words - 1 do
-    dst.mask.((a * words) + w) <-
-      dst.mask.((a * words) + w) lor src.mask.((b * words) + w)
-  done;
-  dst.conflicts.(a) <-
-    dst.conflicts.(a) + src.conflicts.(b) + (dst.acts.(a) * src.acts.(b));
-  dst.acts.(a) <- dst.acts.(a) + src.acts.(b);
-  let c = Int.max dst.clb.(a) src.clb.(b)
-  and bm = Int.max dst.bram.(a) src.bram.(b)
-  and d = Int.max dst.dsp.(a) src.dsp.(b) in
-  dst.clb.(a) <- c;
-  dst.bram.(a) <- bm;
-  dst.dsp.(a) <- d;
-  dst.frames.(a) <- frames_of_tiles c bm d;
-  dst.area.(a) <- area_of_tiles c bm d
-
-let[@inline] nodes_disjoint f a b =
-  let words = f.words in
-  if words = 1 then f.mask.(a) land f.mask.(b) = 0
-  else begin
-    let ok = ref true and w = ref 0 in
-    while !ok && !w < words do
-      if f.mask.((a * words) + !w) land f.mask.((b * words) + !w) <> 0 then
-        ok := false;
-      incr w
-    done;
-    !ok
-  end
-
-(* Reconfiguration-time delta of merging two compatible nodes into one
-   region — the hyperedge weight the matching minimises (then maximal
-   area saving as the tiebreak), the multilevel analogue of the greedy
-   allocator's move ranking. *)
-let[@inline] merge_dtime f a b =
-  let fm =
-    frames_of_tiles
-      (Int.max f.clb.(a) f.clb.(b))
-      (Int.max f.bram.(a) f.bram.(b))
-      (Int.max f.dsp.(a) f.dsp.(b))
-  in
-  (fm * (f.conflicts.(a) + f.conflicts.(b) + (f.acts.(a) * f.acts.(b))))
-  - (f.frames.(a) * f.conflicts.(a))
-  - (f.frames.(b) * f.conflicts.(b))
-
 (* Per-unit statistics of one level's units, for partner ranking: each
    unit absorbs its members in order. *)
 let unit_nodes leaves units =
-  let f = flat_make ~words:leaves.words (Array.length units) in
+  let f = Merge.create ~words:(Merge.words leaves) (Array.length units) in
   Array.iteri
     (fun u members ->
       match members with
       | [] -> ()
       | first :: rest ->
-        copy_node ~src:leaves first ~dst:f u;
-        List.iter (fun p -> absorb ~dst:f u ~src:leaves p) rest)
+        Merge.copy_node ~src:leaves first ~dst:f u;
+        List.iter (fun p -> Merge.absorb ~dst:f u ~src:leaves p) rest)
     units;
   f
 
 let unit_scores ~masks ~resources units =
   let words = if Array.length masks = 0 then 1 else Array.length masks.(0) in
-  let f = unit_nodes (leaves ~words ~masks ~resources) units in
-  merge_dtime f
+  let f = unit_nodes (Merge.leaves ~words ~masks ~resources) units in
+  Merge.merge_dtime f
 
 (* Bounded top-[limit] partner lists: each unordered pair of units with
    disjoint activity is scored once and offered to both units' buffers,
@@ -270,15 +135,15 @@ let epsilon ~budget ~(demand : Resource.t) =
   in
   if Float.is_finite e then Float.max 0. e /. 3. else 0.
 
-(* Stable merge sort of the pair indices [order] by (dtime, -gain)
+(* Stable merge sort of the pair indices [order] by (dtime, -saved)
    ascending, [tmp] the scratch of the same length. Pairs are pushed in
    ascending (i, j), so equal keys keep that order and the result is the
-   full (dtime, -gain, i, j) order. *)
-let sort_pairs ~(dtime : int array) ~(neg_gain : float array) order tmp =
+   full (dtime, -saved, i, j) order. *)
+let sort_pairs ~(dtime : int array) ~(saved : int array) order tmp =
   let len = Array.length order in
   let before x y =
     let dx = dtime.(x) and dy = dtime.(y) in
-    dx < dy || (dx = dy && Float.compare neg_gain.(x) neg_gain.(y) < 0)
+    dx < dy || (dx = dy && saved.(x) > saved.(y))
   in
   let src = ref order and dst = ref tmp and width = ref 1 in
   while !width < len do
@@ -314,11 +179,8 @@ let sort_pairs ~(dtime : int array) ~(neg_gain : float array) order tmp =
    snapshot (its coarse nodes' members, in node order), coarsest first,
    and the number of merges. *)
 let coarsen_nodes ~coarsest ~(budget : Resource.t) leaves =
-  let n = Array.length leaves.acts in
-  let f = flat_make ~words:leaves.words n in
-  for p = 0 to n - 1 do
-    copy_node ~src:leaves p ~dst:f p
-  done;
+  let n = Merge.size leaves in
+  let f = Merge.copy leaves in
   let members = Array.init n (fun p -> [ p ]) in
   let alive = Array.make n true in
   let merges = ref 0 in
@@ -332,69 +194,32 @@ let coarsen_nodes ~coarsest ~(budget : Resource.t) leaves =
   in
   let continue = ref true in
   while !continue do
-    let nlive = ref 0 and dc = ref 0 and db = ref 0 and dd = ref 0 in
-    for i = 0 to n - 1 do
-      if alive.(i) then begin
-        incr nlive;
-        dc := !dc + (f.clb.(i) * clb_prims);
-        db := !db + (f.bram.(i) * bram_prims);
-        dd := !dd + (f.dsp.(i) * dsp_prims)
-      end
-    done;
-    let nlive = !nlive in
+    let nlive = Array.fold_left (fun c a -> if a then c + 1 else c) 0 alive in
     if nlive <= coarsest then continue := false
     else begin
       let k = Int.max coarsest (nlive / 2) in
-      let eps =
-        epsilon ~budget ~demand:{ Resource.clb = !dc; bram = !db; dsp = !dd }
-      in
+      let demand = ref Resource.zero in
+      Array.iteri
+        (fun i a ->
+          if a then demand := Resource.add !demand (Merge.quantized f i))
+        alive;
+      let demand = !demand in
+      let eps = epsilon ~budget ~demand in
       let cap r_budget r_demand =
         (1. +. eps) *. float_of_int r_demand /. float_of_int k
         |> Float.max (float_of_int r_budget /. float_of_int k)
       in
-      let cap_clb = cap budget.clb !dc
-      and cap_bram = cap budget.bram !db
-      and cap_dsp = cap budget.dsp !dd in
-      let admissible i j =
-        alive.(j)
-        && nodes_disjoint f i j
-        && float_of_int (Int.max f.clb.(i) f.clb.(j) * clb_prims) <= cap_clb
-        && float_of_int (Int.max f.bram.(i) f.bram.(j) * bram_prims)
-           <= cap_bram
-        && float_of_int (Int.max f.dsp.(i) f.dsp.(j) * dsp_prims) <= cap_dsp
+      (* The compatible, balance-admissible pairs in ascending (i, j),
+         each stored as [i * n + j]. *)
+      let dtime, saved, ij =
+        Merge.pairs f ~alive
+          ~cap_clb:(cap budget.clb demand.clb)
+          ~cap_bram:(cap budget.bram demand.bram)
+          ~cap_dsp:(cap budget.dsp demand.dsp)
       in
-      (* Count the compatible, balance-admissible pairs, then score them
-         into arrays of that size in ascending (i, j); a pair is stored
-         as [i * n + j]. *)
-      let npairs = ref 0 in
-      for i = 0 to n - 1 do
-        if alive.(i) then
-          for j = i + 1 to n - 1 do
-            if admissible i j then incr npairs
-          done
-      done;
-      let dtime = Array.make !npairs 0
-      and neg_gain = Array.make !npairs 0.
-      and ij = Array.make !npairs 0 in
-      let x = ref 0 in
-      for i = 0 to n - 1 do
-        if alive.(i) then
-          for j = i + 1 to n - 1 do
-            if admissible i j then begin
-              dtime.(!x) <- merge_dtime f i j;
-              neg_gain.(!x) <-
-                -.(f.area.(i) +. f.area.(j)
-                   -. area_of_tiles
-                        (Int.max f.clb.(i) f.clb.(j))
-                        (Int.max f.bram.(i) f.bram.(j))
-                        (Int.max f.dsp.(i) f.dsp.(j)));
-              ij.(!x) <- (i * n) + j;
-              incr x
-            end
-          done
-      done;
-      let order = Array.init !npairs Fun.id in
-      sort_pairs ~dtime ~neg_gain order (Array.make !npairs 0);
+      let npairs = Array.length ij in
+      let order = Array.init npairs Fun.id in
+      sort_pairs ~dtime ~saved order (Array.make npairs 0);
       let matched = Array.make n false in
       let applied = ref 0 in
       let to_merge = nlive - k in
@@ -405,7 +230,7 @@ let coarsen_nodes ~coarsest ~(budget : Resource.t) leaves =
           then begin
             matched.(i) <- true;
             matched.(j) <- true;
-            absorb ~dst:f i ~src:f j;
+            Merge.absorb ~dst:f i ~src:f j;
             members.(i) <- members.(i) @ members.(j);
             alive.(j) <- false;
             incr applied
@@ -427,7 +252,7 @@ let activity_leaves design analysis ~resources =
   let masks =
     Array.init (Array.length resources) (Compatibility.activity analysis)
   in
-  (masks, leaves ~words ~masks ~resources)
+  (masks, Merge.leaves ~words ~masks ~resources)
 
 let coarsen ?(options = default_options) ~budget design partitions =
   match partitions with
@@ -471,7 +296,6 @@ let allocate_stats ?(options = default_options)
       in
       let resources = Array.map (fun bp -> bp.Base_partition.resources) parts in
       let activity, leaves = activity_leaves design analysis ~resources in
-      let words = leaves.words in
       let snapshots, merges =
         Prtelemetry.with_span telemetry "multilevel.coarsen" (fun () ->
             coarsen_nodes ~coarsest:options.coarsest ~budget leaves)
@@ -583,10 +407,8 @@ let allocate_stats ?(options = default_options)
               else begin
                 let stats = unit_nodes leaves units in
                 rank_partners ~limit:options.partner_limit
-                  ~masks:
-                    (Array.init n_units (fun u ->
-                         Array.sub stats.mask (u * words) words))
-                  ~score:(merge_dtime stats)
+                  ~masks:(Array.init n_units (Merge.mask stats))
+                  ~score:(Merge.merge_dtime stats)
               end)
         in
         let level_pass () =

@@ -39,6 +39,11 @@ let default_rules =
     { pattern = ".levels"; direction = Unchanged; tolerance_pct = 0. };
     { pattern = ".merges"; direction = Unchanged; tolerance_pct = 0. };
     { pattern = ".trials"; direction = Unchanged; tolerance_pct = 0. };
+    (* Deterministic solver outputs: the frames of a scheme a bench row
+       solved for, and the V-cycle's accepted refinement moves. A
+       rewrite that must keep its outputs moves neither. *)
+    { pattern = "total_frames"; direction = Unchanged; tolerance_pct = 0. };
+    { pattern = "refine_moves"; direction = Unchanged; tolerance_pct = 0. };
     { pattern = "moves_per_sec"; direction = Higher_better;
       tolerance_pct = 30. };
     (* Runtime size curve: the simulator replay and the placer at

@@ -24,8 +24,11 @@ val default_rules : rule list
 (** Exact rules first: [bit_identical], [oracle_clean] and
     [deterministic] must stay true, and the search's evaluation counts
     ([moves_evaluated] anywhere, [allocator.delta_evals],
-    [guard.evals_used]) must not change at all. Then throughput up ([moves_per_sec]), latency down ([ms_per_run],
-    [ns_per_run], [seconds]), [speedup] and [hit_rate] up, multilevel
+    [guard.evals_used]), the V-cycle's [.levels], [.merges] and
+    [.trials], and the deterministic outputs [total_frames] and
+    [refine_moves] must not change at all. Then throughput up
+    ([moves_per_sec]), latency down ([ms_per_run], [ns_per_run],
+    [seconds]), [speedup] and [hit_rate] up, multilevel
     convergence ([refine_passes]) and quality ([gap_vs_anneal_pct])
     down — with generous tolerances (10–50 %) because bench hosts are
     noisy; the target is step changes, not jitter. *)

@@ -15,7 +15,6 @@ let make design =
   done;
   { design; masks }
 
-let design t = t.design
 let configurations t = Design.configuration_count t.design
 let modes t = Array.length t.masks
 

@@ -8,7 +8,6 @@
 type t
 
 val make : Prdesign.Design.t -> t
-val design : t -> Prdesign.Design.t
 val configurations : t -> int
 val modes : t -> int
 

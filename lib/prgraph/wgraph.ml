@@ -18,8 +18,6 @@ let create ~n ~weight =
   done;
   { n; weights; adj = Array.make_matrix n n false; links = 0 }
 
-let size t = t.n
-
 let check t i =
   if i < 0 || i >= t.n then invalid_arg "Wgraph: node out of range"
 

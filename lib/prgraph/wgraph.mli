@@ -10,7 +10,6 @@ val create : n:int -> weight:(int -> int -> int) -> t
     [weight] must be symmetric and non-negative; it is sampled once per
     unordered pair. @raise Invalid_argument on negative [n] or weight. *)
 
-val size : t -> int
 val weight : t -> int -> int -> int
 val linked : t -> int -> int -> bool
 

@@ -15,7 +15,9 @@ module Anneal = Prcore.Anneal
 module Exact = Prcore.Exact
 module Engine = Prcore.Engine
 module Memo = Prcore.Memo
+module Merge = Prcore.Merge
 module Resource = Fpga.Resource
+module Tile = Fpga.Tile
 
 let example = Design_library.running_example
 let partitions = Agglomerative.run example
@@ -183,6 +185,146 @@ let prop_allocator_delta =
           end
         done;
         !ok)
+
+(* The merge rule against the cost model. A design whose module A has
+   [modes] modes, each configuration using at most one of them (so the
+   modes' activity sets are pairwise disjoint; some may be used
+   nowhere), plus a module B used everywhere. Two groups of A's modes,
+   each in a random order, are absorbed into two nodes, which are then
+   merged; every node and the merge are compared with [Cost.evaluate]
+   of the scheme that places the group in region 0 (and the other group
+   in region 1), everything else static. Configuration counts cover one
+   to three mask words and both sides of each word boundary. Cases are
+   not shrunk: a shrink step rebuilds and re-evaluates a design of up
+   to 200 configurations, and shrinking one failure took minutes. *)
+let gen_merge_case =
+  QCheck2.Gen.(
+    no_shrink
+    @@ let* configs = oneof [ oneofl [ 62; 63; 64; 126; 127 ]; 1 -- 200 ] in
+    let* modes = 1 -- 12 in
+    let* owner = array_size (return configs) (-1 -- (modes - 1)) in
+    let* areas =
+      array_size (return modes) (triple (0 -- 5000) (0 -- 60) (0 -- 90))
+    in
+    let* group = array_size (return modes) (0 -- 2) in
+    let* keys = array_size (return modes) (0 -- 1_000) in
+    return (configs, owner, areas, group, keys))
+
+let prop_merge_matches_cost =
+  QCheck2.Test.make ~name:"merge rule matches Cost.evaluate on the scheme"
+    ~count:300 gen_merge_case (fun (configs, owner, areas, group, keys) ->
+      let modes = Array.length areas in
+      let design =
+        Design.create_exn ~allow_unused_modes:true ~name:"merge"
+          ~modules:
+            [ Prdesign.Pmodule.make "A"
+                (List.init modes (fun k ->
+                     let c, b, d = areas.(k) in
+                     Prdesign.Mode.make (Printf.sprintf "a%d" k)
+                       (res ~bram:b ~dsp:d c)));
+              Prdesign.Pmodule.make "B"
+                [ Prdesign.Mode.make "b" (res 10) ] ]
+          ~configurations:
+            (List.init configs (fun c ->
+                 Prdesign.Configuration.make (Printf.sprintf "c%d" c)
+                   (if owner.(c) < 0 then [ (1, 0) ]
+                    else [ (0, owner.(c)); (1, 0) ])))
+          ()
+      in
+      (* Partitions 0 .. modes-1 are A's modes, the last one is B's. *)
+      let parts =
+        Array.init (modes + 1) (fun k ->
+            Base_partition.make design
+              ~modes:
+                [ (if k < modes then
+                     Design.mode_id design ~module_idx:0 ~mode_idx:k
+                   else Design.mode_id design ~module_idx:1 ~mode_idx:0) ]
+              ~freq:1)
+      in
+      let analysis = Compatibility.analyse design parts in
+      let leaves =
+        Merge.leaves ~words:(Prgraph.Cfgset.words_for configs)
+          ~masks:(Array.init (modes + 1) (Compatibility.activity analysis))
+          ~resources:(Array.map (fun bp -> bp.Base_partition.resources) parts)
+      in
+      let members g =
+        List.filter (fun k -> group.(k) = g) (List.init modes Fun.id)
+        |> List.stable_sort (fun a b -> Int.compare keys.(a) keys.(b))
+      in
+      let g1 = members 1 and g2 = members 2 in
+      let store = Merge.create ~words:(Merge.words leaves) 2 in
+      let build node = function
+        | [] -> ()
+        | first :: rest ->
+          Merge.copy_node ~src:leaves first ~dst:store node;
+          List.iter (fun p -> Merge.absorb ~dst:store node ~src:leaves p) rest
+      in
+      build 0 g1;
+      build 1 g2;
+      let evaluate regions =
+        let placement = Array.make (modes + 1) Scheme.Static in
+        List.iteri
+          (fun r ms -> List.iter (fun p -> placement.(p) <- Scheme.Region r) ms)
+          regions;
+        let scheme =
+          Scheme.make_exn design
+            (Array.to_list (Array.mapi (fun p bp -> (bp, placement.(p))) parts))
+        in
+        (scheme, Cost.evaluate scheme)
+      in
+      let node_matches node ms =
+        ms = []
+        ||
+        let scheme, e = evaluate [ ms ] in
+        Merge.conflicts store node = e.Cost.region_conflicts.(0)
+        && Merge.frames store node = e.Cost.region_frames.(0)
+        && Merge.quantized store node
+           = Tile.quantize (Scheme.region_resources scheme 0)
+      in
+      let merge_matches () =
+        g1 = [] || g2 = []
+        ||
+        let _, apart = evaluate [ g1; g2 ] in
+        let scheme, merged = evaluate [ g1 @ g2 ] in
+        Merge.disjoint store 0 1
+        && Merge.merge_dtime store 0 1
+           = merged.Cost.total_frames - apart.Cost.total_frames
+        && Merge.merged_conflicts store 0 1 = merged.Cost.region_conflicts.(0)
+        && Merge.merged_frames store 0 1 = merged.Cost.region_frames.(0)
+        && Merge.merged_quantized store 0 1
+           = Tile.quantize (Scheme.region_resources scheme 0)
+        &&
+        (Merge.absorb ~dst:store 0 ~src:store 1;
+         node_matches 0 (g1 @ g2))
+      in
+      (* A's modes never share a configuration; each shares every one it
+         is used in with B's. A node used everywhere meets each node used
+         in one configuration alone, whichever mask word holds it. *)
+      let disjoint_matches () =
+        let a_modes = List.init modes Fun.id in
+        let everywhere_and_singles =
+          Merge.leaves ~words:(Merge.words leaves)
+            ~masks:
+              (Array.init (configs + 1) (fun k ->
+                   let m = Prgraph.Cfgset.create configs in
+                   List.iter (Prgraph.Cfgset.add m)
+                     (if k = 0 then List.init configs Fun.id else [ k - 1 ]);
+                   m))
+            ~resources:(Array.make (configs + 1) Resource.zero)
+        in
+        List.for_all
+          (fun k ->
+            Merge.disjoint leaves k modes = not (Array.mem k owner)
+            && List.for_all
+                 (fun k' -> k' = k || Merge.disjoint leaves k k')
+                 a_modes)
+          a_modes
+        && List.for_all
+             (fun c -> not (Merge.disjoint everywhere_and_singles 0 c))
+             (List.init configs succ)
+      in
+      disjoint_matches ()
+      && node_matches 0 g1 && node_matches 1 g2 && merge_matches ())
 
 (* The greedy descent as it stood before the pair table: each step
    lists the candidate moves, scores every one, filters them and
@@ -454,6 +596,24 @@ let allocator_step_tests =
               (Int64.bits_of_float (Allocator.scalar r)))
           [ res 0; res 1; res ~bram:1 ~dsp:1 1; res ~bram:3 ~dsp:7 333;
             res ~bram:62 ~dsp:150 6900; res ~bram:97 ~dsp:13 123_457 ]);
+    Alcotest.test_case "scalar area of a quantized area is its frame count"
+      `Quick (fun () ->
+        (* The V-cycle ranks merges by integer frames saved where it once
+           compared [Allocator.scalar] areas: the two agree exactly. *)
+        for t = 0 to 1_000_000 do
+          List.iter
+            (fun r ->
+              let q = Tile.quantize r in
+              if
+                not
+                  (Int64.equal
+                     (Int64.bits_of_float (Allocator.scalar q))
+                     (Int64.bits_of_float
+                        (float_of_int (Tile.frames_of_resources q))))
+              then Alcotest.failf "differs at %s" (Resource.to_string r))
+            [ res (20 * t); res ~bram:(4 * t) 0; res ~dsp:(8 * t) 0;
+              res ~bram:(4 * t) ~dsp:(8 * t) (20 * t) ]
+        done);
     Alcotest.test_case "case-study solve charges the pinned move counts"
       `Quick (fun () ->
         (* Totals of the sorted-list descent this one replaced; the table
@@ -744,17 +904,6 @@ let prop_exact_matches_cost_model =
             | Some greedy ->
               exact_total <= (Cost.evaluate greedy).Cost.total_frames)))
 
-let exact_reference_tests =
-  [ Alcotest.test_case "conflicts_of_column reference values" `Quick
-      (fun () ->
-        Alcotest.(check int) "empty" 0 (Exact.conflicts_of_column [| -1; -1 |]);
-        Alcotest.(check int) "same resident" 0
-          (Exact.conflicts_of_column [| 4; 4; -1 |]);
-        Alcotest.(check int) "two changes" 2
-          (Exact.conflicts_of_column [| 1; 1; 2 |]);
-        Alcotest.(check int) "all distinct" 3
-          (Exact.conflicts_of_column [| 0; 1; 2 |])) ]
-
 (* ------------------------------------------------------------------ *)
 (* Cost.transition_matrix symmetry (single-triangle computation). *)
 
@@ -820,6 +969,7 @@ let () =
       ( "kernels",
         List.map QCheck_alcotest.to_alcotest
           [ prop_allocator_delta;
+            prop_merge_matches_cost;
             prop_descent_matches_reference;
             prop_first_moves_match_reference;
             prop_energy_incremental;
@@ -827,7 +977,7 @@ let () =
             prop_energy_unit_moves;
             prop_energy_unit_equals_singles;
             prop_exact_matches_cost_model ]
-        @ exact_reference_tests @ allocator_step_tests );
+        @ allocator_step_tests );
       ("transition", transition_tests);
       ( "determinism",
         List.map QCheck_alcotest.to_alcotest [ prop_solve_jobs_identical ]

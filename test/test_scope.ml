@@ -515,6 +515,38 @@ let regress_tests =
             ("multilevel", "levels", 2);
             ("m100", "merges", 100);
             ("m100", "trials", 10_357) ]);
+    Alcotest.test_case "deterministic output rows must not move either way"
+      `Quick (fun () ->
+        let doc section key n = obj [ (section, obj [ (key, Json.Int n) ]) ] in
+        List.iter
+          (fun (section, key, base) ->
+            let verdicts latest =
+              List.map
+                (fun f -> f.Experiments.Regress.verdict)
+                (Experiments.Regress.compare ~baseline:(doc section key base)
+                   ~latest:(doc section key latest) ())
+            in
+            let label = section ^ "." ^ key in
+            Alcotest.(check bool) (label ^ " same") true
+              (verdicts base = [ Experiments.Regress.Within ]);
+            Alcotest.(check bool) (label ^ " fewer") true
+              (verdicts (base - 1) = [ Experiments.Regress.Regressed ]);
+            Alcotest.(check bool) (label ^ " more") true
+              (verdicts (base + 1) = [ Experiments.Regress.Regressed ]))
+          [ ("guard", "total_frames", 236_650);
+            ("multilevel", "total_frames", 445_330);
+            ("m100", "total_frames", 193_756);
+            ("m40", "total_frames", 1_000);
+            ("multilevel", "refine_moves", 74) ];
+        (* A greedy row whose solve stopped returning a scheme drops its
+           total: a missing metric, so a regression too. *)
+        Alcotest.(check int) "dropped total" 1
+          (List.length
+             (Experiments.Regress.regressed
+                (Experiments.Regress.compare
+                   ~baseline:(doc "m40" "total_frames" 1_000)
+                   ~latest:(obj [ ("m40", obj [ ("total_frames", Json.Null) ]) ])
+                   ()))));
     Alcotest.test_case "missing metric is a regression" `Quick (fun () ->
         let baseline = bench_doc ~moves:2.0e6 ~speedup:1.0 ~hit_rate:0.9 in
         let latest = obj [ ("sweep", obj [ ("speedup", Json.Float 1.0) ]) ] in
